@@ -318,8 +318,8 @@ type benchObserver struct {
 	power, volt []*telemetry.Gauge
 }
 
-func (o *benchObserver) ObserveStep(now hcapp.Time, total float64, domains []hcapp.DomainSample) {
-	o.steps.Inc()
+func (o *benchObserver) ObserveSteps(_, _ hcapp.Time, n int64, total float64, domains []hcapp.DomainSample) {
+	o.steps.Add(float64(n))
 	o.pkg.Set(total)
 	for i := range domains {
 		o.power[i].Set(domains[i].Power)
@@ -367,7 +367,7 @@ func TestInstrumentedStepOverhead(t *testing.T) {
 	}
 	inst := newObservedSystem(t)
 	const span = 2 * hcapp.Millisecond
-	tBase, tInst := pairedStepTime(base, inst, span)
+	tBase, tInst := pairedStepTime(t, base, inst, span)
 	ratio := tInst.Seconds() / tBase.Seconds()
 	t.Logf("uninstrumented %v, instrumented %v, ratio %.3f", tBase, tInst, ratio)
 	if ratio > 1.08 {
@@ -434,7 +434,7 @@ func TestEnergyLedgerStepOverhead(t *testing.T) {
 	}
 	tracked := newEnergyTrackedSystem(t)
 	const span = 2 * hcapp.Millisecond
-	tBase, tTracked := pairedStepTime(base, tracked, span)
+	tBase, tTracked := pairedStepTime(t, base, tracked, span)
 	ratio := tTracked.Seconds() / tBase.Seconds()
 	t.Logf("plain %v, energy-tracked %v, ratio %.3f", tBase, tTracked, ratio)
 	if ratio > 1.08 {
@@ -450,10 +450,19 @@ func TestEnergyLedgerStepOverhead(t *testing.T) {
 // drift hit both variants equally, and the minimum is the trial least
 // disturbed by either, which is the quantity the overhead contracts are
 // about.
-func pairedStepTime(a, b *hcapp.System, span hcapp.Time) (bestA, bestB time.Duration) {
+//
+// The overhead tests run Hi-Hi under HCAPP, which never strides (the
+// controller re-commands the rail every 1 µs period), so they price
+// the observer's per-step path — one ObserveSteps call per step — with
+// the budgets set before observers could stride; the guard below keeps
+// that true.
+func pairedStepTime(t *testing.T, a, b *hcapp.System, span hcapp.Time) (bestA, bestB time.Duration) {
 	// Warm-up pass faults in code and sizes trace buffers.
 	a.Engine.RunFor(span)
 	b.Engine.RunFor(span)
+	if a.Engine.StridedSteps() != 0 || b.Engine.StridedSteps() != 0 {
+		t.Fatal("timed workload strides: the overhead budgets price per-step observation")
+	}
 	bestA, bestB = time.Duration(1<<62), time.Duration(1<<62)
 	for trial := 0; trial < 9; trial++ {
 		start := time.Now()

@@ -337,7 +337,7 @@ func (r *reporter) extensions() {
 	r.check("healthy sensor holds the limit", healthyOK)
 	r.check("a 25% optimistic sensor breaks the limit (documented failure mode)", optimisticBad)
 
-	sw, err := experiment.RunSeedSweepWith(r.runner, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), r.ev.TargetDur/2, r.ev.Adaptive)
+	sw, err := experiment.RunSeedSweepWith(r.runner, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), r.ev.TargetDur/2)
 	if err != nil {
 		fatal(err)
 	}

@@ -97,7 +97,6 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel simulation workers (output is identical at any width)")
 	coordinator := flag.String("coordinator", "", "offload simulations to the fleet coordinator at this URL (rendered output is identical)")
 	priority := flag.String("priority", cluster.PriorityBatch, "fleet priority class with -coordinator: interactive or batch")
-	adaptive := flag.Bool("adaptive", false, "stride over steady-state regions (bitwise-identical output, less wall clock)")
 	tenant := flag.String("tenant", "", "fleet tenant id for rate limiting with -coordinator")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -120,7 +119,6 @@ func main() {
 	runner := experiment.NewRunner(*workers)
 	ev := experiment.NewEvaluator().WithTargetDur(sim.Time(*dur * float64(sim.Millisecond))).WithRunner(runner)
 	ev.Cfg.Seed = *seed
-	ev.Adaptive = *adaptive
 
 	var fleet *cluster.Client
 	if *coordinator != "" {
@@ -222,7 +220,6 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, fleet *cluster.Cli
 		return render(ev.Fig10())
 	case "scaling":
 		sc := experiment.DefaultScalingConfig()
-		sc.Adaptive = ev.Adaptive
 		if fleet != nil {
 			// The scaling sweep builds engines directly rather than going
 			// through the evaluator, so it offloads cell-by-cell.
@@ -294,7 +291,7 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, fleet *cluster.Cli
 		}
 		fmt.Print(r.Render())
 	case "seeds":
-		sw, err := experiment.RunSeedSweepWith(runner, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), ev.TargetDur, ev.Adaptive)
+		sw, err := experiment.RunSeedSweepWith(runner, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), ev.TargetDur)
 		if err != nil {
 			return err
 		}

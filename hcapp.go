@@ -265,7 +265,7 @@ func RunSeedSweep(seeds []int64, limit PowerLimit, dur Time) (*SeedSweep, error)
 // RunSeedSweepWith runs the seed sweep with the per-seed loop fanned
 // over a runner.
 func RunSeedSweepWith(r *Runner, seeds []int64, limit PowerLimit, dur Time) (*SeedSweep, error) {
-	return experiment.RunSeedSweepWith(r, seeds, limit, dur, false)
+	return experiment.RunSeedSweepWith(r, seeds, limit, dur)
 }
 
 // ComboSpec is the JSON description of a custom benchmark combination.

@@ -168,7 +168,8 @@ func (a *Accel) Step(now sim.Time, dt sim.Time, vdd float64) sim.StepResult {
 // none — Epoch is a pure function of vdd for all three); a stateful
 // local could retune on any step. The predicted next-step power must
 // match lastPower exactly, which catches the idle transition on the
-// step the work pool ran out.
+// step the work pool ran out, and the activity sample (ReadUnitSamples)
+// must be unchanged.
 func (a *Accel) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 	switch a.local.(type) {
 	case *core.PassThrough, core.Adversarial, *core.Adversarial, core.None, *core.None:
@@ -177,13 +178,13 @@ func (a *Accel) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 	}
 	v := a.effectiveV(vdd)
 	if a.Done() || v < a.vMin {
-		if a.idlePower != a.lastPower {
+		if a.idlePower != a.lastPower || a.lastAct != 0 {
 			return 0
 		}
 		return 1 << 62
 	}
 	p := a.powerLUT.At(v)
-	if p != a.lastPower {
+	if p != a.lastPower || a.lastAct != 1 {
 		return 0
 	}
 	if a.totalWork <= 0 {

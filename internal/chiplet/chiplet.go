@@ -327,7 +327,8 @@ const steadyMargin = 8
 // recomputes the next step's power operation-for-operation from the
 // current state and demands it match lastPower exactly — catching the
 // one-step transitions (a unit finishing, an epoch retune) the caller's
-// cheaper invariants cannot see — and bounds the stride conservatively
+// cheaper invariants cannot see; with the unit meter on, each unit's
+// sample must match too — and bounds the stride conservatively
 // before every internal event: local-controller epochs, workload phase
 // boundaries, and work-pool completion. Chiplets with a thermal node
 // never stride (the RC network integrates every step).
@@ -367,6 +368,11 @@ func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 			act = a
 		}
 		up := m.Dynamic(vlocal, f, act) + m.Leakage(vlocal)
+		// With the unit meter on, the per-unit samples an observer reads
+		// after a stride must be the last step's too.
+		if c.meterOn && (act != u.stepAct || up != u.stepPower) {
+			return 0
+		}
 		totalPower += up
 		actSum += act
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -269,25 +270,19 @@ func (w *Worker) runItem(ctx context.Context, ev *experiment.Evaluator, params P
 	var eng *tracing.ActiveSpan
 	if w.cfg.Tracer != nil && it.Trace != nil && it.Trace.Valid() {
 		eng = w.cfg.Tracer.StartSpan(*it.Trace, "engine")
-		eng.SetAttr("worker", w.cfg.ID)
 	}
+	var run *experiment.RunResult
 	defer func() {
 		if r := recover(); r != nil {
 			w.cfg.Logf("cluster: worker %s: item %d panicked: %v\n%s", w.cfg.ID, idx, r, debug.Stack())
 			out = ItemResult{Error: fmt.Sprintf("panic: %v", r)}
+			run = nil
 		}
-		if eng != nil {
-			outcome := "ok"
-			if out.Error != "" {
-				outcome = "error"
-			}
-			eng.SetAttr("outcome", outcome)
-			if out.Result != nil {
-				eng.SetAttr("sim_ns", fmt.Sprintf("%d", int64(out.Result.DurationNS)))
-				eng.SetAttr("control_cycles", fmt.Sprintf("%d", out.Result.ControlCycles))
-			}
-			engSpan = eng.End()
+		var err error
+		if out.Error != "" {
+			err = errors.New(out.Error)
 		}
+		engSpan = experiment.EndEngineSpan(eng, w.cfg.ID, ev.Cfg.TimeStep, run, err)
 	}()
 	switch {
 	case it.Spec != nil && it.Scaling == nil:
@@ -301,6 +296,7 @@ func (w *Worker) runItem(ctx context.Context, ev *experiment.Evaluator, params P
 			out = ItemResult{Error: err.Error()}
 			return
 		}
+		run = &res
 		r := ResultOf(res)
 		out = ItemResult{Result: &r}
 	case it.Scaling != nil && it.Spec == nil:

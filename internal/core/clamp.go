@@ -220,7 +220,7 @@ func (c *Clamp) Step(now sim.Time, truePowerW float64, reg *vr.Regulator) bool {
 // rotation with no side effects on the regulator: untripped, no guard
 // ramp in flight, the window full and flat at p (so sum += p−p adds
 // exactly zero), and the average strictly below the trip threshold.
-// While this holds the adaptive engine replays steps with AdvanceN.
+// While this holds the engine replays steps with AdvanceN.
 func (c *Clamp) SteadyAt(p float64) bool {
 	if c.tripped || c.guard || c.fill < len(c.ring) {
 		return false

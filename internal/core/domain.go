@@ -165,8 +165,7 @@ func (d *Domain) Step(now sim.Time, dt sim.Time, vglobal float64) float64 {
 // step: the controller is healthy (no silence, no watchdog trip), the
 // target it would compute — reproduced here operation-for-operation —
 // matches the standing one, and the regulator has settled on it. While
-// this holds the adaptive engine can stride without stepping the
-// domain at all.
+// this holds the engine can stride without stepping the domain at all.
 func (d *Domain) SteadyAt(vglobal float64) bool {
 	if d.silentFor != 0 || d.tripped || !d.commanded {
 		return false

@@ -187,7 +187,7 @@ func (g *Global) StepSensed(now sim.Time, sensedPower float64, age sim.Time, reg
 
 // NextFire returns the time of the next control-cycle boundary: the
 // first step whose now is >= NextFire takes a control action. The
-// adaptive engine ends strides strictly before this boundary.
+// engine ends strides strictly before this boundary.
 func (g *Global) NextFire() sim.Time { return g.nextFire }
 
 // AccumulateN replays n steps of window accumulation at a constant

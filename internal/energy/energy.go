@@ -3,10 +3,10 @@
 // running which benchmark.
 //
 // The Ledger hangs off the sched.StepObserver hook and integrates each
-// power domain's draw every step. Because unit-level power is usually
-// not measurable on real silicon (only the domain rail is), the ledger
-// splits each domain's energy across its execution units by activity
-// share — the GPU-exporter estimator,
+// power domain's draw every step, strided steps included. Because
+// unit-level power is usually not measurable on real silicon (only the
+// domain rail is), the ledger splits each domain's energy across its
+// execution units by activity share — the GPU-exporter estimator,
 //
 //	energy = power × interval × (util / Σ util)
 //
@@ -67,13 +67,12 @@ type slotState struct {
 // perturb the bit-exact simulation floats.
 type Ledger struct {
 	slots  []slotState
-	lastT  sim.Time
 	totalJ float64
 	steps  int64
 }
 
 // NewLedger builds a ledger for the given slots, which must mirror the
-// engine's sched slot order (ObserveStep samples are index-aligned).
+// engine's sched slot order (ObserveSteps samples are index-aligned).
 func NewLedger(slots []SlotConfig) *Ledger {
 	l := &Ledger{slots: make([]slotState, len(slots))}
 	for i, sc := range slots {
@@ -102,32 +101,46 @@ func NewLedger(slots []SlotConfig) *Ledger {
 	return l
 }
 
-// ObserveStep implements sched.StepObserver.
-func (l *Ledger) ObserveStep(now sim.Time, totalPower float64, domains []sched.DomainSample) {
-	dt := sim.Seconds(now - l.lastT)
-	l.lastT = now
-	l.totalJ += totalPower * dt
-	l.steps++
-	n := len(l.slots)
-	if len(domains) < n {
-		n = len(domains)
+// ObserveSteps implements sched.StepObserver. The n steps are
+// identical, so the unit meters are read once and the per-step
+// integration is then replayed n times in order — never n·x in closed
+// form, since floating-point addition is not associative — leaving the
+// sums n single-step calls would, bit for bit.
+func (l *Ledger) ObserveSteps(_, dt sim.Time, n int64, totalPower float64, domains []sched.DomainSample) {
+	if len(domains) > len(l.slots) {
+		domains = domains[:len(l.slots)]
 	}
-	for i := 0; i < n; i++ {
+	for i := range domains {
 		st := &l.slots[i]
-		ej := domains[i].Power * dt
+		if st.cfg.Meter != nil {
+			st.cfg.Meter.ReadUnitSamples(st.actBuf, st.pwrBuf)
+		}
+	}
+	sec := sim.Seconds(dt)
+	l.steps += n
+	for ; n > 0; n-- {
+		l.integrate(sec, totalPower, domains)
+	}
+}
+
+// integrate folds one step of sec seconds into the accumulators, with
+// unit samples already read into each slot's buffers.
+func (l *Ledger) integrate(sec, totalPower float64, domains []sched.DomainSample) {
+	l.totalJ += totalPower * sec
+	for i := range domains {
+		st := &l.slots[i]
+		ej := domains[i].Power * sec
 		st.domainJ += ej
-		m := st.cfg.Meter
-		if m == nil {
+		if st.cfg.Meter == nil {
 			st.att[0] += ej
 			st.gt[0] += ej
 			continue
 		}
 		act, pwr := st.actBuf, st.pwrBuf
-		m.ReadUnitSamples(act, pwr)
 		actSum := 0.0
 		for u := range act {
 			actSum += act[u]
-			st.gt[u] += pwr[u] * dt
+			st.gt[u] += pwr[u] * sec
 		}
 		// Split the step's domain energy by activity share (equal split
 		// when everything is idle), assigning the remainder to the last
@@ -225,7 +238,6 @@ func (l *Ledger) unitCount() int {
 
 // Reset clears the ledger for a fresh run.
 func (l *Ledger) Reset() {
-	l.lastT = 0
 	l.totalJ = 0
 	l.steps = 0
 	for i := range l.slots {

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hcapp/internal/sched"
@@ -21,12 +22,13 @@ func (m *fakeMeter) ReadUnitSamples(act, watts []float64) {
 	copy(watts, m.watts)
 }
 
-func step(l *Ledger, now sim.Time, total float64, powers ...float64) {
+// step feeds the ledger one step of length dt.
+func step(l *Ledger, dt sim.Time, total float64, powers ...float64) {
 	ds := make([]sched.DomainSample, len(powers))
 	for i, p := range powers {
 		ds[i].Power = p
 	}
-	l.ObserveStep(now, total, ds)
+	l.ObserveSteps(0, dt, 1, total, ds)
 }
 
 func TestLedgerActivityShareAttribution(t *testing.T) {
@@ -98,12 +100,10 @@ func TestLedgerConservationExactByConstruction(t *testing.T) {
 	l := NewLedger([]SlotConfig{
 		{Domain: "cpu", Benchmark: "b", UnitLabel: "core", Meter: m},
 	})
-	now := sim.Time(0)
 	for i := 0; i < 1000; i++ {
-		now += 100 * sim.Nanosecond
 		m.act[0] = 0.1 + float64(i%7)*0.013
 		m.act[2] = 0.3 + float64(i%5)*0.021
-		step(l, now, 3.7, 3.7)
+		step(l, 100*sim.Nanosecond, 3.7, 3.7)
 	}
 	s := l.Summary()
 	// Each step's shares sum to that step's ej exactly, but the per-unit
@@ -120,7 +120,7 @@ func TestLedgerUnmeteredSlot(t *testing.T) {
 		{Domain: "mem", Benchmark: "static"},
 	})
 	step(l, sim.Microsecond, 1.5, 1.5)
-	step(l, 2*sim.Microsecond, 1.5, 1.5)
+	step(l, sim.Microsecond, 1.5, 1.5)
 
 	s := l.Summary()
 	c := s.Components[0]
@@ -199,9 +199,33 @@ func TestObserversTee(t *testing.T) {
 	}
 
 	tee := sched.Observers(a, b)
-	tee.ObserveStep(sim.Microsecond, 2, []sched.DomainSample{{Power: 2}})
-	if a.Summary().Steps != 1 || b.Summary().Steps != 1 {
+	tee.ObserveSteps(sim.Microsecond, sim.Microsecond, 3, 2, []sched.DomainSample{{Power: 2}})
+	if a.Summary().Steps != 3 || b.Summary().Steps != 3 {
 		t.Fatalf("tee did not reach both observers: %d, %d",
 			a.Summary().Steps, b.Summary().Steps)
+	}
+}
+
+// TestLedgerBulkMatchesSingleSteps pins the bulk contract: one call
+// carrying n identical steps must leave the ledger bitwise where n
+// single-step calls would, for metered and unmetered slots alike —
+// including awkward shares whose per-step sums round.
+func TestLedgerBulkMatchesSingleSteps(t *testing.T) {
+	const dt, n = 100 * sim.Nanosecond, 1000
+	build := func() *Ledger {
+		m := &fakeMeter{act: []float64{0.1, 0.2, 0.3}, watts: []float64{0.7, 1.1, 1.3}}
+		return NewLedger([]SlotConfig{
+			{Domain: "cpu", Benchmark: "b", UnitLabel: "core", Meter: m},
+			{Domain: "mem", Benchmark: "static"},
+		})
+	}
+	ds := []sched.DomainSample{{Power: 3.7}, {Power: 1.9}}
+	single, bulk := build(), build()
+	for i := 0; i < n; i++ {
+		single.ObserveSteps(sim.Time(i+1)*dt, dt, 1, 5.6, ds)
+	}
+	bulk.ObserveSteps(dt, dt, n, 5.6, ds)
+	if s, b := single.Summary(), bulk.Summary(); !reflect.DeepEqual(s, b) {
+		t.Fatalf("bulk call diverges from single steps:\nsingle %+v\nbulk   %+v", s, b)
 	}
 }

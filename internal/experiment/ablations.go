@@ -31,7 +31,6 @@ func (ev *Evaluator) runVariant(combo Combo, limit config.PowerLimit, mutate fun
 		CPUWork:     sizing.CPUWork,
 		GPUWork:     sizing.GPUWork,
 		AccelWorkGB: sizing.AccelGB,
-		Adaptive:    ev.Adaptive,
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -182,7 +181,6 @@ func (ev *Evaluator) ThermalCheck() (peakCPU, peakGPU float64, tripped bool, err
 		GPUWork:       sizing.GPUWork,
 		AccelWorkGB:   sizing.AccelGB,
 		EnableThermal: true,
-		Adaptive:      ev.Adaptive,
 	})
 	if err != nil {
 		return 0, 0, false, err

@@ -136,11 +136,6 @@ type BuildOptions struct {
 	// Holdover, when MaxAge > 0, arms the global controller's
 	// stale-sample holdover (dynamic schemes only).
 	Holdover core.HoldoverConfig
-	// Adaptive enables the engine's steady-state striding
-	// (sched.Config.Adaptive): bitwise-identical results, less wall
-	// clock. Deliberately NOT part of any result cache key — it must
-	// not change a single output byte.
-	Adaptive bool
 }
 
 // System bundles an assembled engine with handles the experiments need.
@@ -291,7 +286,7 @@ func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, er
 		cpu.EnableUnitMeter()
 		gpu.EnableUnitMeter()
 		// Slot order here must mirror the sched.Config Slots below —
-		// ObserveStep samples are index-aligned. Mem has no meter: its
+		// ObserveSteps samples are index-aligned. Mem has no meter: its
 		// constant draw is attributed to the static "benchmark" exactly.
 		ledger = energy.NewLedger([]energy.SlotConfig{
 			{Domain: "cpu", Benchmark: combo.CPU.Name, UnitLabel: "core", Meter: cpu},
@@ -320,7 +315,6 @@ func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, er
 		Observer:        obs,
 		Injector:        opts.Injector,
 		Clamp:           clamp,
-		Adaptive:        opts.Adaptive,
 	})
 	if err != nil {
 		return nil, err

@@ -131,7 +131,6 @@ func (ev *Evaluator) RunEnergyAttribution(faultCombo Combo, limit config.PowerLi
 			Watchdog:    core.WatchdogConfig{Timeout: DefaultWatchdogTimeout},
 			Holdover:    core.HoldoverConfig{MaxAge: DefaultHoldoverMaxAge},
 			TrackEnergy: true,
-			Adaptive:    ev.Adaptive,
 		})
 		if err != nil {
 			return err

@@ -96,7 +96,6 @@ func (ev *Evaluator) RunPolicy(combo Combo, limit config.PowerLimit, policy stri
 		GPUWork:     sizing.GPUWork * skewOf("gpu"),
 		AccelWorkGB: sizing.AccelGB * skewOf("sha"),
 		Supervisor:  sup,
-		Adaptive:    ev.Adaptive,
 	})
 	if err != nil {
 		return RunResult{}, err
@@ -199,7 +198,6 @@ func (ev *Evaluator) RunCentralized(combo Combo, limit config.PowerLimit, opts C
 		// the comparison isolates the control *topology*, not the
 		// presence of level-3 controllers.
 		ForceLocalControl: true,
-		Adaptive:          ev.Adaptive,
 	})
 	if err != nil {
 		return RunResult{}, err

@@ -136,7 +136,6 @@ func (ev *Evaluator) buildSweepSystem(combo Combo, limit config.PowerLimit, inj 
 		Injector: inj,
 		Clamp:    &core.ClampConfig{CapW: limit.Watts, Window: limit.Window, DT: ev.Cfg.TimeStep},
 		Watchdog: core.WatchdogConfig{Timeout: DefaultWatchdogTimeout},
-		Adaptive: ev.Adaptive,
 	}
 	run := &sweepRun{}
 	if centralized {

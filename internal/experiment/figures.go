@@ -33,7 +33,6 @@ func (ev *Evaluator) Fig1(combo Combo, sampleEvery sim.Time) ([]trace.Point, flo
 		CPUWork:     sizing.CPUWork,
 		GPUWork:     sizing.GPUWork,
 		AccelWorkGB: sizing.AccelGB,
-		Adaptive:    ev.Adaptive,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -63,7 +62,6 @@ func (ev *Evaluator) Fig2(combo Combo, windows []sim.Time, sampleEvery sim.Time)
 		CPUWork:     sizing.CPUWork,
 		GPUWork:     sizing.GPUWork,
 		AccelWorkGB: sizing.AccelGB,
-		Adaptive:    ev.Adaptive,
 	})
 	if err != nil {
 		return nil, 0, err

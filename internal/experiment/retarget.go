@@ -45,7 +45,6 @@ func (ev *Evaluator) RunRetarget(combo Combo) (*RetargetResult, error) {
 		CPUWork:     sizing.CPUWork * 10, // keep the package busy throughout
 		GPUWork:     sizing.GPUWork * 10,
 		AccelWorkGB: sizing.AccelGB * 10,
-		Adaptive:    ev.Adaptive,
 	})
 	if err != nil {
 		return nil, err

@@ -71,7 +71,6 @@ func (ev *Evaluator) RunFaultInjection(combo Combo) ([]FaultResult, error) {
 			CPUWork:     sizing.CPUWork,
 			GPUWork:     sizing.GPUWork,
 			AccelWorkGB: sizing.AccelGB,
-			Adaptive:    ev.Adaptive,
 		})
 		if err != nil {
 			return err
@@ -152,7 +151,6 @@ func (ev *Evaluator) AblationVREfficiency() (*Matrix, error) {
 			CPUWork:     sizing.CPUWork,
 			GPUWork:     sizing.GPUWork,
 			AccelWorkGB: sizing.AccelGB,
-			Adaptive:    ev.Adaptive,
 		})
 		if err != nil {
 			return err

@@ -188,10 +188,10 @@ type Evaluator struct {
 	// FixedV is the fixed-voltage baseline's global voltage.
 	FixedV float64
 	// Observer, when non-nil, receives per-step telemetry from every
-	// uncached Run (hcapp-serve live metrics and trace streaming).
-	// Cached results replay no steps, so a caller that needs the full
-	// stream should use a fresh evaluator per run, as the job server
-	// does.
+	// uncached Run (hcapp-serve live metrics and trace streaming),
+	// strided steps included (sched.StepObserver). Cached results
+	// replay no steps, so a caller that needs the full stream should
+	// use a fresh evaluator per run, as the job server does.
 	Observer sched.StepObserver
 	// Remote, when non-nil, executes uncached runs on a remote fleet
 	// instead of simulating locally. The local result cache and
@@ -205,12 +205,6 @@ type Evaluator struct {
 	// energy — the ledger is passive, so the simulated metrics are
 	// identical either way.
 	TrackEnergy bool
-	// Adaptive enables the engine's steady-state striding on every
-	// uncached local run. Results are bitwise identical to fixed-step
-	// execution (the CI determinism diffs enforce it), so this is
-	// deliberately NOT in the cache key: adaptive and fixed-step
-	// evaluators, local or fleet, share results freely.
-	Adaptive bool
 
 	// runner, when non-nil, fans RunSpecs batches across a worker pool.
 	runner *Runner
@@ -440,7 +434,6 @@ func (ev *Evaluator) runUncached(ctx context.Context, spec RunSpec, key string) 
 		Supervisor:       sup,
 		Observer:         ev.Observer,
 		TrackEnergy:      ev.TrackEnergy,
-		Adaptive:         ev.Adaptive,
 	}
 	if spec.Scheme.Kind != config.FixedVoltage {
 		opts.TargetPower = TargetPowerFor(spec.Limit)

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
+	"hcapp/internal/sim"
 	"hcapp/internal/telemetry"
 	"hcapp/internal/tracing"
 )
@@ -165,6 +167,23 @@ func traceTask(ctx context.Context, i int) (context.Context, func(error)) {
 	return tracing.ContextWith(ctx, tr, sp.Context()), func(err error) {
 		sp.SetAttr("outcome", tracing.Outcome(err)).End()
 	}
+}
+
+// EndEngineSpan stamps an engine span with the node that ran it, the
+// counters of the run res reports — steps (a run executes whole dt
+// steps from zero, so Duration/dt), simulated horizon and global
+// control cycles — and its outcome, then ends it. Standalone jobs and
+// fleet workers both end their engine spans here, so the span carries
+// the same attributes in either role; a failed run (nil res) carries
+// no counters. A nil span is a no-op.
+func EndEngineSpan(span *tracing.ActiveSpan, worker string, dt sim.Time, res *RunResult, err error) tracing.Span {
+	span.SetAttr("worker", worker)
+	if res != nil {
+		span.SetAttr("steps", strconv.FormatInt(res.Duration/dt, 10)).
+			SetAttr("sim_ns", strconv.FormatInt(res.Duration, 10)).
+			SetAttr("control_cycles", strconv.FormatInt(res.ControlCycles, 10))
+	}
+	return span.SetAttr("outcome", tracing.Outcome(err)).End()
 }
 
 // observe wraps one task execution with the runner's telemetry.

@@ -55,9 +55,6 @@ type ScalingConfig struct {
 	Combo Combo
 	// Dur is the run length.
 	Dur sim.Time
-	// Adaptive enables the engine's steady-state striding for locally
-	// simulated cells (bitwise-identical results; see sched.Config).
-	Adaptive bool
 	// Cell, when non-nil, executes one (triples, period) sweep cell —
 	// hcapp-sweep points it at a cluster coordinator so the fleet
 	// simulates instead of this process. Nil simulates locally via
@@ -267,7 +264,6 @@ func runScaled(cfg config.SystemConfig, sc ScalingConfig, n int, period sim.Time
 		Global:   global,
 		Slots:    slots,
 		Recorder: rec,
-		Adaptive: sc.Adaptive,
 	})
 	if err != nil {
 		return nil, err

@@ -27,16 +27,15 @@ type SeedSweep struct {
 
 // RunSeedSweep executes the sweep sequentially at the given horizon.
 func RunSeedSweep(seeds []int64, limit config.PowerLimit, dur sim.Time) (*SeedSweep, error) {
-	return RunSeedSweepWith(nil, seeds, limit, dur, false)
+	return RunSeedSweepWith(nil, seeds, limit, dur)
 }
 
 // RunSeedSweepWith executes the sweep with the per-seed loop —
 // embarrassingly parallel, one fresh evaluator per seed — fanned over
 // the runner (nil runs sequentially). Per-seed summaries land in
 // seed-index slots, so the rendered sweep is identical at any worker
-// count. adaptive enables steady-state striding on every per-seed
-// evaluator (bitwise-identical results, less wall clock).
-func RunSeedSweepWith(r *Runner, seeds []int64, limit config.PowerLimit, dur sim.Time, adaptive bool) (*SeedSweep, error) {
+// count.
+func RunSeedSweepWith(r *Runner, seeds []int64, limit config.PowerLimit, dur sim.Time) (*SeedSweep, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: no seeds")
 	}
@@ -58,7 +57,6 @@ func RunSeedSweepWith(r *Runner, seeds []int64, limit config.PowerLimit, dur sim
 		// already saturate a worker.
 		ev := NewEvaluator().WithTargetDur(dur)
 		ev.Cfg.Seed = seeds[i]
-		ev.Adaptive = adaptive
 		var fixedPPE, hcPPE, hcSp []float64
 		for _, combo := range Suite() {
 			base, err := ev.RunContext(ctx, RunSpec{Combo: combo, Scheme: ev.FixedScheme(), Limit: limit})

@@ -102,7 +102,7 @@ func (in *Injector) Reset() {
 // NextChange returns the next time the active-event set can change.
 // While the injector is idle (BeginStep returned false), every step
 // strictly before NextChange is guaranteed idle too — the bound the
-// adaptive engine uses to end strides before a fault window opens.
+// engine uses to end strides before a fault window opens.
 func (in *Injector) NextChange() sim.Time { return in.nextChange }
 
 // BeginStep advances the injector to time now and reports whether any

@@ -63,7 +63,7 @@ func (d *DelayLine) Step(in float64) float64 {
 
 // SteadyAt reports whether the line is flat at v: every buffered sample
 // equals v, so Step(v) is a pure head rotation returning v. The
-// adaptive engine strides over flat lines with AdvanceN.
+// engine strides over flat lines with AdvanceN.
 func (d *DelayLine) SteadyAt(v float64) bool {
 	for _, s := range d.ring {
 		if s != v {

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"hcapp/internal/chiplet"
 	"hcapp/internal/config"
 	"hcapp/internal/core"
 	"hcapp/internal/fault"
@@ -173,4 +174,44 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state step allocates %.1f times per %d steps, want 0", allocs, span)
 	}
+
+	// The strided path with an observer attached: a fixed-rail engine of
+	// constant loads strides through every run, and each stride reaches
+	// the observer in one call — still with nothing allocated.
+	defer SetFixedStep(false)()
+	obs := &recordingObserver{}
+	st := stridingEngine(t, obs)
+	st.RunFor(sim.Microsecond) // settle the delay lines
+	st.Recorder().Grow((runs + 2) * span)
+	allocs = testing.AllocsPerRun(runs, func() {
+		st.RunFor(span * dt)
+	})
+	if st.StridedSteps() == 0 || obs.steps != st.Steps() {
+		t.Fatalf("observed engine strided %d of %d steps, observer saw %d", st.StridedSteps(), st.Steps(), obs.steps)
+	}
+	if allocs != 0 {
+		t.Fatalf("observed strided run allocates %.1f times per %d steps, want 0", allocs, span)
+	}
+}
+
+// stridingEngine is a fixed-rail, fully tracked engine of two constant
+// loads under obs: every slot can bulk-step and nothing perturbs the
+// rail, so once the delay lines fill every run is one long stride.
+func stridingEngine(t *testing.T, obs StepObserver) *Engine {
+	t.Helper()
+	regCfg := vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95, TransitionTime: 130, SlewRate: 5e6}
+	domCfg := config.DomainConfig{Scale: 1.0, VMin: 0.6, VMax: 1.2, VR: regCfg}
+	return MustNew(Config{
+		DT:       dt,
+		GlobalVR: vr.MustRegulator(regCfg),
+		Sensor:   vr.MustSensor(vr.SensorConfig{Delay: 60, FilterTau: 200}, dt),
+		PSN:      psn.MustDelayLine(75, dt, 0.95),
+		Slots: []Slot{
+			{Domain: core.MustDomain("cpu", domCfg), Comp: chiplet.NewConstant("cpu", 30)},
+			{Domain: core.MustDomain("mem", domCfg), Comp: chiplet.NewConstant("mem", 5)},
+		},
+		Recorder:        trace.MustRecorder(dt, true),
+		TrackComponents: true,
+		Observer:        obs,
+	})
 }

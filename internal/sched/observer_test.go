@@ -20,9 +20,9 @@ type recordingObserver struct {
 	powerOK bool
 }
 
-func (o *recordingObserver) ObserveStep(now sim.Time, total float64, domains []DomainSample) {
-	o.steps++
-	o.lastNow = now
+func (o *recordingObserver) ObserveSteps(now, dt sim.Time, n int64, total float64, domains []DomainSample) {
+	o.steps += n
+	o.lastNow = now + sim.Time(n-1)*dt
 	o.lastTot = total
 	if o.domains == nil {
 		for _, d := range domains {

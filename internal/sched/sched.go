@@ -15,8 +15,9 @@
 //     sensed power and commands a new global voltage.
 //
 // The per-slot state the step loop touches lives in parallel arrays
-// compiled at construction (see Engine), and an opt-in adaptive mode
-// (Config.Adaptive) strides over bitwise-steady regions; see docs/PERF.md.
+// compiled at construction (see Engine). Wherever the next steps are
+// provably bitwise identical to the last one, the engine strides over
+// them in bulk with byte-identical results; see docs/PERF.md.
 package sched
 
 import (
@@ -51,8 +52,8 @@ type Supervisor interface {
 }
 
 // DomainSample is one domain's contribution to a step, delivered to a
-// StepObserver. The slice passed to ObserveStep is reused between steps;
-// observers must copy anything they keep.
+// StepObserver. The slice passed to ObserveSteps is reused between
+// calls; observers must copy anything they keep.
 type DomainSample struct {
 	// Domain is the domain controller's name ("cpu", "gpu", "sha", ...).
 	Domain string
@@ -65,20 +66,24 @@ type DomainSample struct {
 }
 
 // StepObserver receives live per-step telemetry from a running engine —
-// the hook the hcapp-serve metrics/trace pipeline hangs off. It is
-// called once per engine step, on the simulation goroutine, after all
-// components have stepped; implementations must be fast (the engine
-// steps every 100 ns of simulated time) and must not retain domains.
+// the hook the energy ledger and the hcapp-serve metrics/trace pipeline
+// hang off. ObserveSteps reports n consecutive, bitwise-identical steps
+// at now, now+dt, …, now+(n-1)·dt: an ordinary step calls it with
+// n = 1, a stride once with its length. Implementations replay their
+// per-step work n times in order, never in closed form, so a run's
+// observed totals do not depend on how it was strided. It is called on
+// the simulation goroutine after all components have stepped;
+// implementations must be fast and must not retain domains.
 type StepObserver interface {
-	ObserveStep(now sim.Time, totalPower float64, domains []DomainSample)
+	ObserveSteps(now, dt sim.Time, n int64, totalPower float64, domains []DomainSample)
 }
 
-// multiObserver fans one step out to several observers, in order.
+// multiObserver fans each call out to several observers, in order.
 type multiObserver []StepObserver
 
-func (m multiObserver) ObserveStep(now sim.Time, totalPower float64, domains []DomainSample) {
+func (m multiObserver) ObserveSteps(now, dt sim.Time, n int64, totalPower float64, domains []DomainSample) {
 	for _, o := range m {
-		o.ObserveStep(now, totalPower, domains)
+		o.ObserveSteps(now, dt, n, totalPower, domains)
 	}
 }
 
@@ -123,9 +128,9 @@ type Config struct {
 	// control on top of HCAPP, §5.3/§6).
 	Supervisor Supervisor
 	// Observer, when non-nil, receives per-step telemetry (power,
-	// per-domain voltage). Costs one interface call per step plus a few
-	// stores; no allocations. Attaching an observer disables adaptive
-	// striding (the observer contract is one call per step).
+	// per-domain voltage): one interface call per step or per stride
+	// plus a few stores; no allocations. Observers never stop the
+	// engine from striding.
 	Observer StepObserver
 	// Injector, when non-nil, perturbs the step loop with deterministic
 	// faults (sensing-path defects, rail droop, VR degradation, domain
@@ -136,16 +141,14 @@ type Config struct {
 	// after the global controller each step against the *true* summed
 	// power, so the cap holds even when the sensing path lies.
 	Clamp *core.Clamp
-	// Adaptive enables steady-state striding: when every piece of
-	// engine state is at an exact floating-point fixed point and no
-	// event boundary (control fire, supervisor tick, fault window,
-	// workload phase edge, epoch, completion) is near, the engine
-	// replays many steps at once. Results — trace, recorder columns,
-	// counters — are bitwise identical to fixed-step execution; the
-	// mode only changes wall-clock time. Ignored when an Observer is
-	// attached or any component does not implement sim.BulkStepper.
-	Adaptive bool
 }
+
+// fixedStep makes engines built while it is set execute one step at a
+// time: the reference the strided path is diffed against. Building
+// with the hcapp_fixedstep tag sets it for a whole binary
+// (fixedstep.go); the package's paired tests flip it in process
+// through export_test.go. No other code writes it.
+var fixedStep bool
 
 // slotKind selects the devirtualized dispatch for one slot: the engine
 // calls the concrete Step of the known component types directly and
@@ -208,9 +211,11 @@ type Engine struct {
 	notDone  int               // undone non-generic slots
 	generics []int             // slot indices needing interface Done()
 
-	// Adaptive-stepping state: a snapshot of the quantities the last
-	// step produced, enough to prove the next step would be identical.
-	adaptiveOK   bool
+	// Striding state: canStride says every slot can bulk-step and
+	// fixed stepping is not forced; the rest is a snapshot of the
+	// quantities the last step produced, enough to prove the next step
+	// would be identical.
+	canStride    bool
 	prevTotal    float64 // lastTotal as seen BY the last step (droop input)
 	lastVglobal  float64
 	lastVrail    float64
@@ -310,12 +315,10 @@ func (e *Engine) compile() {
 		}
 	}
 	e.resetDoneCache()
-	// Striding needs a bulk-capable component in every slot and an
-	// unobserved engine (observers are promised one call per step).
-	e.adaptiveOK = e.cfg.Adaptive && e.cfg.Observer == nil
+	e.canStride = !fixedStep
 	for _, b := range e.bulks {
 		if b == nil {
-			e.adaptiveOK = e.adaptiveOK && false
+			e.canStride = false
 		}
 	}
 }
@@ -396,7 +399,7 @@ func (e *Engine) RunWithCancel(maxDur sim.Time, cancelled func() bool) Result {
 		if e.allDone() {
 			break
 		}
-		if e.adaptiveOK {
+		if e.canStride {
 			if n := e.strideLen(maxDur); n > 0 {
 				e.stride(n)
 				sinceCheck += n
@@ -438,7 +441,7 @@ func (e *Engine) RunFor(dur sim.Time) {
 	for e.now+dt <= end {
 		e.now += dt
 		e.step()
-		if e.adaptiveOK {
+		if e.canStride {
 			if n := e.strideLen(end); n > 0 {
 				e.stride(n)
 			}
@@ -584,7 +587,7 @@ func (e *Engine) step() {
 	e.lastTotal = total
 	e.steps++
 	if e.cfg.Observer != nil {
-		e.cfg.Observer.ObserveStep(now, total, e.obsBuf)
+		e.cfg.Observer.ObserveSteps(now, dt, 1, total, e.obsBuf)
 	}
 
 	// 6. Software supervision (OS timescale).
@@ -678,11 +681,13 @@ func (e *Engine) strideLen(end sim.Time) int64 {
 // stride replays n steps verified by strideLen: components advance
 // their accumulators by n repetitions of the identical per-step
 // operation, rings rotate in place, the controller accumulates its
-// window, and the recorder appends n copies of the steady sample. No
-// voltages move and no events fire — strideLen guaranteed both.
+// window, the recorder appends n copies of the steady sample, and the
+// observer hears all n steps in one call. No voltages move and no
+// events fire — strideLen guaranteed both.
 func (e *Engine) stride(n int64) {
 	cfg := &e.cfg
 	dt := cfg.DT
+	first := e.now + dt
 	for i, k := range e.kinds {
 		switch k {
 		case slotChiplet:
@@ -716,6 +721,9 @@ func (e *Engine) stride(n int64) {
 	e.steps += n
 	e.strides++
 	e.stridedSteps += n
+	if cfg.Observer != nil {
+		cfg.Observer.ObserveSteps(first, dt, n, e.lastTotal, e.obsBuf)
+	}
 }
 
 // SupervisorTicks reports how many supervision passes have run.
@@ -725,11 +733,11 @@ func (e *Engine) SupervisorTicks() int64 { return e.supTicks }
 // or the last Reset (strided steps included).
 func (e *Engine) Steps() int64 { return e.steps }
 
-// Strides reports how many adaptive strides the engine took since
+// Strides reports how many steady-state strides the engine took since
 // construction or the last Reset.
 func (e *Engine) Strides() int64 { return e.strides }
 
-// StridedSteps reports how many steps were covered by adaptive strides
+// StridedSteps reports how many steps were covered by strides
 // (a subset of Steps). StridedSteps/Steps is the striding ratio — the
 // fraction of the run that never executed the full step loop.
 func (e *Engine) StridedSteps() int64 { return e.stridedSteps }

@@ -13,7 +13,6 @@ import (
 	"hcapp/internal/cluster"
 	"hcapp/internal/config"
 	"hcapp/internal/experiment"
-	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 	"hcapp/internal/tracing"
 )
@@ -371,11 +370,12 @@ func (mgr *Manager) simulate(ctx context.Context, ev *experiment.Evaluator, spec
 	var res experiment.RunResult
 	err := mgr.runner.Tasks(ctx, 1, func(ctx context.Context, _ int) (err error) {
 		// The runner already opened item[0] under the run span; this task
-		// adds attempt[0] and the engine span (fed by an EngineObserver on
-		// the observer tee), so a standalone tree is shape-identical to a
-		// fleet tree where a worker executed the engine stage.
-		var attempt *tracing.ActiveSpan
-		var engObs *tracing.EngineObserver
+		// adds attempt[0] and the engine span, so a standalone tree is
+		// shape-identical to a fleet tree where a worker executed the
+		// engine stage. Both roles stamp the engine span from the run's
+		// result (experiment.EndEngineSpan).
+		var attempt, eng *tracing.ActiveSpan
+		var dt sim.Time
 		// The recover installs before anything dereferences ev: a nil
 		// evaluator must fail as a contained panic, not unwind the pool.
 		defer func() {
@@ -383,20 +383,22 @@ func (mgr *Manager) simulate(ctx context.Context, ev *experiment.Evaluator, spec
 				mgr.logf("hcapp-serve: job %s panicked: %v\n%s", jobID, r, debug.Stack())
 				err = panicError{val: r}
 			}
-			engObs.Finish(err)
+			var run *experiment.RunResult
+			if err == nil {
+				run = &res
+			}
+			experiment.EndEngineSpan(eng, "local", dt, run, err)
 			attempt.SetAttr("outcome", tracing.Outcome(err)).End()
 		}()
-		var tee []sched.StepObserver
-		if obs != nil {
-			tee = append(tee, obs)
-		}
 		if tr, parent, ok := tracing.FromContext(ctx); ok {
 			attempt = tr.StartSpan(parent, "attempt[0]")
 			attempt.SetAttr("worker", "local").SetAttr("kind", "primary")
-			engObs = tracing.NewEngineObserver(tr.StartSpan(attempt.Context(), "engine"))
-			tee = append(tee, engObs)
+			eng = tr.StartSpan(attempt.Context(), "engine")
 		}
-		ev.Observer = sched.Observers(tee...)
+		dt = ev.Cfg.TimeStep
+		if obs != nil {
+			ev.Observer = obs
+		}
 		res, err = ev.RunContext(ctx, spec)
 		return err
 	})

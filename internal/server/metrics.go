@@ -122,10 +122,11 @@ func (m *metrics) dropJob(jobID string) {
 }
 
 // metricsFlushEvery is how many engine steps a job observer batches
-// before publishing gauges. Scrapes are seconds apart while steps are
-// 100 ns of simulated time, so publishing every step would be pure
-// overhead; at 64 the telemetry cost vanishes into the step noise while
-// /metrics still lags the simulation by under 7 µs of simulated time.
+// before publishing gauges (a stride may carry it past the mark).
+// Scrapes are seconds apart while steps are 100 ns of simulated time,
+// so publishing every step would be pure overhead; at 64 the telemetry
+// cost vanishes into the step noise while /metrics lags the simulation
+// by under 7 µs of simulated time, or by one stride.
 const metricsFlushEvery = 64
 
 // jobObserver implements sched.StepObserver for one running job: it
@@ -144,7 +145,7 @@ type jobObserver struct {
 	domPower []*telemetry.Gauge
 	domVolt  []*telemetry.Gauge
 
-	pending int
+	pending int64
 }
 
 func (m *metrics) newJobObserver(j *Job, spec jobSpecInfo) *jobObserver {
@@ -169,21 +170,21 @@ type jobSpecInfo struct {
 	target float64
 }
 
-func (o *jobObserver) ObserveStep(now sim.Time, total float64, domains []sched.DomainSample) {
-	o.trace.observe(now, total)
+func (o *jobObserver) ObserveSteps(now, dt sim.Time, n int64, total float64, domains []sched.DomainSample) {
+	o.trace.observe(now, dt, n, total)
 	if o.domPower == nil {
 		for _, d := range domains {
 			o.domPower = append(o.domPower, o.m.domPower.With(o.jobID, d.Domain))
 			o.domVolt = append(o.domVolt, o.m.domVolt.With(o.jobID, d.Domain))
 		}
 	}
-	o.pending++
+	o.pending += n
 	if o.pending < metricsFlushEvery {
 		return
 	}
 	o.steps.Add(float64(o.pending))
 	o.pending = 0
-	o.simTime.Set(sim.Seconds(now))
+	o.simTime.Set(sim.Seconds(now + sim.Time(n-1)*dt))
 	o.pkgPower.Set(total)
 	for i := range domains {
 		o.domPower[i].Set(domains[i].Power)

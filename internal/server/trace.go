@@ -48,25 +48,28 @@ func newTraceBuffer(every, maxSamples int) *traceBuffer {
 	return &traceBuffer{every: every, max: maxSamples}
 }
 
-// observe folds one engine step into the buffer. Called from the
-// simulation goroutine only.
-func (b *traceBuffer) observe(now sim.Time, total float64) {
-	b.steps.Add(1)
-	b.now.Store(now)
-	b.sum += total
-	b.n++
-	if b.n < b.every {
-		return
+// observe folds n identical engine steps, at now, now+dt, …, into the
+// buffer one step at a time, so buckets close at the same steps with
+// the same sums as n single-step calls. Called from the simulation
+// goroutine only.
+func (b *traceBuffer) observe(now, dt sim.Time, n int64, total float64) {
+	b.steps.Add(n)
+	b.now.Store(now + sim.Time(n-1)*dt)
+	for ; n > 0; n, now = n-1, now+dt {
+		b.sum += total
+		if b.n++; b.n < b.every {
+			continue
+		}
+		s := TraceSample{TNS: now, Power: b.sum / float64(b.n)}
+		b.sum, b.n = 0, 0
+		b.mu.Lock()
+		if len(b.samples) < b.max {
+			b.samples = append(b.samples, s)
+		} else {
+			b.dropped++
+		}
+		b.mu.Unlock()
 	}
-	s := TraceSample{TNS: now, Power: b.sum / float64(b.n)}
-	b.sum, b.n = 0, 0
-	b.mu.Lock()
-	if len(b.samples) < b.max {
-		b.samples = append(b.samples, s)
-	} else {
-		b.dropped++
-	}
-	b.mu.Unlock()
 }
 
 // Page returns samples[offset:offset+limit], the next offset, and the

@@ -3,10 +3,13 @@ package server
 import (
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"hcapp/internal/cluster"
+	"hcapp/internal/sim"
 	"hcapp/internal/tracing"
 )
 
@@ -89,15 +92,15 @@ func TestJobTraceStandalone(t *testing.T) {
 // TestJobTraceFleetMatchesStandalone: the same job delegated through a
 // coordinator to a fleet worker produces a byte-identical span-tree
 // structure — the acceptance criterion CI re-checks over real
-// processes.
+// processes — and an engine span carrying the same attribute keys.
 func TestJobTraceFleetMatchesStandalone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations over a local fleet")
 	}
 	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{Logf: t.Logf})
-	_, fleetTS := testServer(t, Config{Workers: 2, Cluster: coord})
+	fleetS, fleetTS := testServer(t, Config{Workers: 2, Cluster: coord})
 	startFleetWorker(t, fleetTS.URL, "w-1")
-	_, soloTS := testServer(t, Config{Workers: 2})
+	soloS, soloTS := testServer(t, Config{Workers: 2})
 
 	req := JobRequest{Combo: "Mid-Mid", Scheme: "hcapp", DurMS: 0.5, Seed: seedOf(7)}
 	stFleet, _ := postJob(t, fleetTS, req)
@@ -117,6 +120,38 @@ func TestJobTraceFleetMatchesStandalone(t *testing.T) {
 	if fleet != jobStructureGolden {
 		t.Fatalf("fleet structure:\n%s\nwant:\n%s", fleet, jobStructureGolden)
 	}
+
+	// Both roles stamp the engine span through one helper; ids, timings
+	// and values (the worker name) legitimately differ, the keys not.
+	fleetKeys := engineAttrKeys(t, fleetS, stFleet.ID)
+	if soloKeys := engineAttrKeys(t, soloS, stSolo.ID); !reflect.DeepEqual(fleetKeys, soloKeys) {
+		t.Fatalf("engine span attributes diverge: fleet %v, standalone %v", fleetKeys, soloKeys)
+	}
+}
+
+// engineAttrKeys returns the sorted attribute keys of a job's one
+// engine span, as assembled in the server's trace store.
+func engineAttrKeys(t *testing.T, s *Server, jobID string) []string {
+	t.Helper()
+	_, spans, _ := s.cfg.Tracer.TraceForJob(jobID)
+	var keys []string
+	for _, sp := range spans {
+		if sp.Name != "engine" {
+			continue
+		}
+		if keys != nil {
+			t.Fatalf("job %s has more than one engine span", jobID)
+		}
+		keys = []string{}
+		for k := range sp.Attrs {
+			keys = append(keys, k)
+		}
+	}
+	if keys == nil {
+		t.Fatalf("job %s has no engine span", jobID)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestTracesEndpoint: the server-mounted /v1/traces lists traces, pages
@@ -170,5 +205,41 @@ func TestTracesEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestTraceBufferBulkMatchesSingleSteps pins the bulk observer
+// contract for the live trace: one call carrying n identical steps
+// must close buckets at the same steps, with the same TNS and means,
+// as n single-step calls — here with bucket boundaries falling inside
+// the bulk call, and a full buffer dropping the overflow.
+func TestTraceBufferBulkMatchesSingleSteps(t *testing.T) {
+	const dt = 100 * sim.Nanosecond
+	// Steps 1–3 at 0.3 W, then 37 identical steps at 0.7 W: with 10-step
+	// buckets the bulk call opens mid-bucket and closes four buckets,
+	// the last dropped by a three-sample cap. Neither power sums exactly
+	// in binary, so a closed-form bucket sum would show.
+	single, bulk := newTraceBuffer(10, 3), newTraceBuffer(10, 3)
+	for i := int64(1); i <= 3; i++ {
+		single.observe(sim.Time(i)*dt, dt, 1, 0.3)
+		bulk.observe(sim.Time(i)*dt, dt, 1, 0.3)
+	}
+	for i := int64(4); i <= 40; i++ {
+		single.observe(sim.Time(i)*dt, dt, 1, 0.7)
+	}
+	bulk.observe(4*dt, dt, 37, 0.7)
+
+	sp, sn, sd := single.Page(0, 0)
+	bp, bn, bd := bulk.Page(0, 0)
+	if !reflect.DeepEqual(sp, bp) || sn != bn || sd != bd {
+		t.Fatalf("bulk page diverges:\nsingle %v next %d dropped %d\nbulk   %v next %d dropped %d", sp, sn, sd, bp, bn, bd)
+	}
+	if len(sp) != 3 || sd != 1 || sp[0].TNS != 10*dt {
+		t.Fatalf("unexpected buckets %v (dropped %d)", sp, sd)
+	}
+	st, ss := single.Progress()
+	bt, bs := bulk.Progress()
+	if st != bt || ss != bs || bt != 40*dt || bs != 40 {
+		t.Fatalf("progress: single %d/%d, bulk %d/%d, want %d/40", st, ss, bt, bs, 40*dt)
 	}
 }

@@ -77,7 +77,7 @@ type Resetter interface{ Reset() }
 
 // BulkStepper is implemented by components that can prove a run of
 // future steps will be bitwise identical to the last one and replay
-// them in bulk. It powers the engine's adaptive stepping mode.
+// them in bulk. It powers the engine's steady-state striding.
 type BulkStepper interface {
 	// SteadyFor returns the maximum number of consecutive future
 	// Step(now+k·dt, dt, vdd) calls (k = 1..n) guaranteed to return

@@ -80,7 +80,7 @@ func (r *Recorder) Record(total float64) {
 }
 
 // RecordN appends n identical total-power samples — the recorder half
-// of an adaptive stride.
+// of a steady-state stride.
 func (r *Recorder) RecordN(total float64, n int) {
 	for i := 0; i < n; i++ {
 		r.total = append(r.total, total)

@@ -384,3 +384,12 @@ func (t *Tracer) Len() int {
 	defer t.mu.Unlock()
 	return len(t.traces)
 }
+
+// Outcome is the conventional span outcome attribute value for an
+// error: "ok" or "error".
+func Outcome(err error) string {
+	if err != nil {
+		return "error"
+	}
+	return "ok"
+}

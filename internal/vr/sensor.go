@@ -118,7 +118,7 @@ func (s *Sensor) Push(p float64) {
 // bitwise unchanged: the delay ring is already flat at p and the filter
 // state is at its exact floating-point fixed point for input p. While
 // this holds, Push(p) is a pure rotation and Read() is constant — the
-// condition the adaptive engine needs when a controller reads the
+// condition the striding engine needs when a controller reads the
 // sensor during a stride.
 func (s *Sensor) SteadyAt(p float64) bool {
 	if !s.DelaySteadyAt(p) {

@@ -163,8 +163,8 @@ func (r *Regulator) Commanded() float64 {
 }
 
 // Settled reports whether Step has become a pure no-op: no command is
-// in flight and the output sits exactly on the target. The adaptive
-// engine strides over settled regulators; any Command (even to the same
+// in flight and the output sits exactly on the target. The engine
+// strides over settled regulators; any Command (even to the same
 // voltage) re-arms the transition timer and unsettles the regulator
 // until it lands again.
 func (r *Regulator) Settled() bool {

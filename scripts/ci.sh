@@ -37,16 +37,16 @@ echo "== timing guards (no race) =="
 go test -run TestInstrumentedStepOverhead -count=1 .
 go test -run TestEnergyLedgerStepOverhead -count=1 .
 go test -run TestFaultInjectionStepOverhead -count=1 ./internal/sched
-go test -run TestTracingStepOverhead -count=1 ./internal/tracing
 go test -run TestRunnerParallelSpeedup -count=1 ./internal/experiment
 
-# Hot-path bench gate: the adaptive speedup test enforces the headline
-# contracts (≥5× adaptive speedup on the Fig. 5 workload, zero
-# allocations per steady-state step, bitwise-identical traces) and
+# Hot-path bench gate: the stride speedup test enforces the headline
+# contracts (≥5× over the fixed-step reference on the Fig. 5 workload,
+# zero allocations per steady-state step, bitwise-identical traces) and
 # emits the measured numbers as BENCH_step.json. The sched-package
-# zero-alloc guard re-checks the fully tracked step loop directly.
+# zero-alloc guard re-checks the fully tracked step loop and an
+# observed strided run directly.
 echo "== hot-path bench gate (no race) =="
-HCAPP_BENCH_JSON="$PWD/BENCH_step.json" go test -run TestAdaptiveSpeedupGate -count=1 .
+HCAPP_BENCH_JSON="$PWD/BENCH_step.json" go test -run TestStrideSpeedupGate -count=1 ./internal/sched
 go test -run TestStepSteadyStateZeroAllocs -count=1 ./internal/sched
 echo "bench artifact:"
 cat BENCH_step.json
@@ -64,20 +64,22 @@ go build -o "$tmp/hcappsim" ./cmd/hcappsim
 diff -u "$tmp/seq.out" "$tmp/par.out"
 echo "parallel output identical"
 
-# Adaptive determinism: striding through steady-state regions is an
-# execution detail, never a model change — the ENTIRE experiment
-# registry (plus the seed sweep, which "all" excludes for cost) must
-# emit byte-identical output with -adaptive on. The registry runs at a
-# 2 ms horizon because the "checks" shape suite needs burst statistics
-# a 1 ms run cannot provide.
-echo "== adaptive determinism diff (full registry + seeds) =="
-"$tmp/hcappsim" -experiment all -dur 2 -workers 1 >"$tmp/all-fixed.out"
-"$tmp/hcappsim" -experiment all -dur 2 -workers 1 -adaptive >"$tmp/all-adaptive.out"
-diff -u "$tmp/all-fixed.out" "$tmp/all-adaptive.out"
-"$tmp/hcappsim" -experiment seeds -dur 1 -workers 1 >"$tmp/seeds-fixed.out"
-"$tmp/hcappsim" -experiment seeds -dur 1 -workers 1 -adaptive >"$tmp/seeds-adaptive.out"
-diff -u "$tmp/seeds-fixed.out" "$tmp/seeds-adaptive.out"
-echo "adaptive output identical across every experiment id"
+# Stride determinism: striding through steady-state regions is an
+# execution detail, never a model change. A binary built with the
+# hcapp_fixedstep tag never strides; the ENTIRE experiment registry
+# (plus the seed sweep, which "all" excludes for cost) must emit
+# byte-identical output from it and from the default build. The
+# registry runs at a 2 ms horizon because the "checks" shape suite
+# needs burst statistics a 1 ms run cannot provide.
+echo "== fixed-step reference diff (full registry + seeds) =="
+go build -tags hcapp_fixedstep -o "$tmp/hcappsim-fixed" ./cmd/hcappsim
+"$tmp/hcappsim-fixed" -experiment all -dur 2 -workers 1 >"$tmp/all-fixed.out"
+"$tmp/hcappsim" -experiment all -dur 2 -workers 1 >"$tmp/all-strided.out"
+diff -u "$tmp/all-fixed.out" "$tmp/all-strided.out"
+"$tmp/hcappsim-fixed" -experiment seeds -dur 1 -workers 1 >"$tmp/seeds-fixed.out"
+"$tmp/hcappsim" -experiment seeds -dur 1 -workers 1 >"$tmp/seeds-strided.out"
+diff -u "$tmp/seeds-fixed.out" "$tmp/seeds-strided.out"
+echo "strided output identical to the fixed-step build across every experiment id"
 
 # Fleet determinism: the same suite executed on a coordinator with two
 # workers must diff clean against the sequential standalone output, with
@@ -188,10 +190,11 @@ wait_ready() {
 wait_ready http://127.0.0.1:18100
 wait_ready http://127.0.0.1:18103
 
-# Submits one job, waits for it, and prints its span-tree structure.
-run_traced_job() {
+# Submits one HCAPP job (combo $2, seed $3) to $1, waits for it to
+# finish, and prints its id.
+run_job() {
 	id="$(curl -fsS -X POST "$1/v1/jobs" \
-		-d "{\"combo\":\"Mid-Mid\",\"scheme\":\"hcapp\",\"dur_ms\":0.5,\"seed\":$2,\"tenant\":\"trace-ci\"}" |
+		-d "{\"combo\":\"$2\",\"scheme\":\"hcapp\",\"dur_ms\":0.5,\"seed\":$3,\"tenant\":\"trace-ci\"}" |
 		sed -n 's/.*"id": *"\([0-9a-f]*\)".*/\1/p' | head -n 1)"
 	if [ -z "$id" ]; then
 		echo "trace integrity: job submission to $1 returned no id" >&2
@@ -212,6 +215,12 @@ run_traced_job() {
 		fi
 		sleep 0.1
 	done
+	echo "$id"
+}
+
+# Submits one job, waits for it, and prints its span-tree structure.
+run_traced_job() {
+	id="$(run_job "$1" Mid-Mid "$2")"
 	curl -fsS "$1/v1/traces?job=$id&view=structure"
 }
 
@@ -253,6 +262,46 @@ echo "stage and queue-wait histograms scraped, pprof mounted"
 
 kill $coord_pid $w1_pid $w2_pid $solo_pid 2>/dev/null
 wait $coord_pid $w1_pid $w2_pid $solo_pid 2>/dev/null || true
+trap 'rm -rf "$tmp"' EXIT
+
+# Served-job stride determinism: served jobs stride too (the energy
+# ledger and the live-trace observer follow a stride in one bulk call),
+# so a standalone hcapp-serve built with the hcapp_fixedstep tag and a
+# default one must return the same result and the same live trace page
+# for the same job. Mid-Mid never strides under HCAPP (the controller
+# re-commands the rail every period); Burst-Burst does, so it rides
+# along to keep the diff from being vacuous.
+echo "== served-job fixed-step reference diff (tagged vs default hcapp-serve) =="
+go build -tags hcapp_fixedstep -o "$tmp/hcapp-serve-fixed" ./cmd/hcapp-serve
+"$tmp/hcapp-serve-fixed" -addr 127.0.0.1:18110 &
+fixed_pid=$!
+"$tmp/hcapp-serve" -addr 127.0.0.1:18111 &
+strided_pid=$!
+trap 'kill $fixed_pid $strided_pid 2>/dev/null; rm -rf "$tmp"' EXIT
+wait_ready http://127.0.0.1:18110
+wait_ready http://127.0.0.1:18111
+
+# Prints a finished job's result object and its live trace page, minus
+# the per-server random job id.
+job_output() {
+	id="$(run_job "$1" "$2" "$3")"
+	curl -fsS "$1/v1/jobs/$id" | sed -n '/^  "result": {/,/^  }/p'
+	curl -fsS "$1/v1/jobs/$id/trace" | sed '/^  "id":/d'
+}
+for combo in Mid-Mid Burst-Burst; do
+	job_output http://127.0.0.1:18110 "$combo" 101 >"$tmp/job-fixed.txt"
+	job_output http://127.0.0.1:18111 "$combo" 101 >"$tmp/job-strided.txt"
+	if ! grep -q '"result"' "$tmp/job-fixed.txt" || ! grep -q '"power_watts"' "$tmp/job-fixed.txt"; then
+		echo "served-job diff: $combo job returned no result or no trace samples"
+		cat "$tmp/job-fixed.txt"
+		exit 1
+	fi
+	diff -u "$tmp/job-fixed.txt" "$tmp/job-strided.txt"
+done
+echo "served job results and traces identical to the fixed-step build"
+
+kill $fixed_pid $strided_pid 2>/dev/null
+wait $fixed_pid $strided_pid 2>/dev/null || true
 trap 'rm -rf "$tmp"' EXIT
 
 echo "== fuzz (short) =="
