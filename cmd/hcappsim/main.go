@@ -1,5 +1,6 @@
 // Command hcappsim regenerates the paper's tables and figures from the
-// simulated target system.
+// simulated target system, and hosts the tools built on the same
+// evaluator as subcommands.
 //
 // Usage:
 //
@@ -7,77 +8,271 @@
 //	hcappsim -experiment all             # everything (slow)
 //	hcappsim -experiment table1,table2   # comma-separated list
 //	hcappsim -dur 16 -seed 42            # run-length and seed control
+//	hcappsim -experiment scaling -counts 1,2,4,8 -tree
+//	hcappsim trace -fig 1 > fig1.csv     # Fig. 1/2 and controlled-run CSV traces
+//	hcappsim tune -mode target           # calibration sweeps (§3.1)
+//	hcappsim report > EXPERIMENTS.md     # paper-vs-measured report
 //
 // Experiments: table1 table2 table3 fig1 fig2 fig4 fig5 fig6 fig7 fig8
 // fig9 fig10, plus the extensions and ablations: scaling, policies,
 // centralized, locals, clocking, thermal, adversarial, faults,
 // fault-sweep, energy.
+//
+// Every flag value is validated before anything simulates; a bad value,
+// an unknown command or a flag the command does not honour exits 2.
 package main
 
 import (
-	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
-	"time"
 
 	"hcapp/internal/buildinfo"
 	"hcapp/internal/cluster"
 	"hcapp/internal/config"
 	"hcapp/internal/experiment"
-	"hcapp/internal/fault"
 	"hcapp/internal/sim"
-	"hcapp/internal/telemetry"
 )
 
-// experimentIDs is the registry of runnable experiment ids, in the
-// order "-experiment all" executes them.
-var experimentIDs = []string{
-	"table1", "table2", "table3",
-	"fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"scaling", "policies", "centralized", "locals", "clocking", "thermal",
-	"adversarial", "faults", "fault-sweep", "energy", "vreff", "retarget", "seeds", "checks",
+// command is one hcappsim mode: the flags it honours and what it runs.
+type command struct {
+	name string // "" is the default experiment mode
+	// flags lists the honoured flags; any other flag is a usage error.
+	flags []string
+	dur   float64 // default -dur, milliseconds
+	run   func(*options) error
 }
 
-// notInAll lists registry ids excluded from "all": the seed sweep
-// re-runs the whole validation suite once per seed.
-var notInAll = map[string]bool{"seeds": true}
+var commands = []command{
+	{"", []string{"experiment", "dur", "seed", "combo", "workers", "coordinator", "priority", "tenant",
+		"counts", "tree", "msg-ns", "version"}, 16, runExperiments},
+	{"trace", []string{"fig", "combo", "dur", "sample", "scheme", "version"}, 16, runTrace},
+	{"tune", []string{"mode", "dur", "version"}, 12, runTune},
+	{"report", []string{"dur", "seed", "workers", "version"}, 16, runReport},
+}
 
-// parseExperimentIDs expands and validates the -experiment flag. Every
-// id is checked before anything runs, so a typo in a long comma list
-// fails fast instead of after an hour of simulation.
-func parseExperimentIDs(exp string) ([]string, error) {
-	if exp == "all" {
-		ids := make([]string, 0, len(experimentIDs))
-		for _, id := range experimentIDs {
-			if !notInAll[id] {
-				ids = append(ids, id)
+// schemeNames lists the -scheme values config.SchemeByKind accepts.
+const schemeNames = "fixed-voltage | hcapp | rapl-like | sw-like"
+
+// options holds every flag's value. Fields a command does not honour
+// keep their zero value.
+type options struct {
+	experiment  string
+	dur         float64
+	seed        int64
+	combo       string
+	workers     int
+	coordinator string
+	priority    string
+	tenant      string
+	chiplets    []int // -counts
+	tree        bool
+	msgNS       int64
+	fig         int
+	sample      float64
+	scheme      string
+	mode        string
+	version     bool
+
+	// Parsed from the flags above by check.
+	ids       []string
+	comboSpec experiment.Combo
+	fleet     *cluster.Client
+}
+
+// define registers the command's flags on fs, each flag written once
+// for every command that honours it.
+func define(fs *flag.FlagSet, o *options, c *command) {
+	for _, name := range c.flags {
+		switch name {
+		case "experiment":
+			fs.StringVar(&o.experiment, name, "all", "experiment id(s), comma-separated, or 'all'")
+		case "dur":
+			fs.Float64Var(&o.dur, name, c.dur, "run length in milliseconds")
+		case "seed":
+			fs.Int64Var(&o.seed, name, 42, "workload generation seed")
+		case "combo":
+			fs.StringVar(&o.combo, name, "Burst-Burst", "workload combination")
+		case "workers":
+			fs.IntVar(&o.workers, name, runtime.NumCPU(), "parallel simulation workers (output is identical at any width)")
+		case "coordinator":
+			fs.StringVar(&o.coordinator, name, "", "offload simulations to the fleet coordinator at this URL (rendered output is identical)")
+		case "priority":
+			fs.StringVar(&o.priority, name, cluster.PriorityBatch, "fleet priority class with -coordinator: interactive or batch")
+		case "tenant":
+			fs.StringVar(&o.tenant, name, "", "fleet tenant id for rate limiting with -coordinator")
+		case "counts":
+			o.chiplets = experiment.DefaultScalingConfig().ChipletCounts
+			fs.Var((*counts)(&o.chiplets), name, "scaling: comma-separated chiplet-triple counts")
+		case "tree":
+			fs.BoolVar(&o.tree, name, false, "scaling: use an aggregation tree instead of a shared bus")
+		case "msg-ns":
+			fs.Int64Var(&o.msgNS, name, int64(experiment.DefaultScalingConfig().Network.MsgSerialization), "scaling: per-message serialization on the collection network, ns")
+		case "fig":
+			fs.IntVar(&o.fig, name, 1, "1: static trace; 2: windowed views; 3: controlled-run power+voltage")
+		case "sample":
+			fs.Float64Var(&o.sample, name, 20, "sample spacing, microseconds")
+		case "scheme":
+			fs.StringVar(&o.scheme, name, string(config.FixedVoltage), schemeNames)
+		case "mode":
+			fs.StringVar(&o.mode, name, "probe", strings.Join(tuneModeNames, " | "))
+		case "version":
+			fs.BoolVar(&o.version, name, false, "print version and exit")
+		default:
+			panic("hcappsim: no definition for flag -" + name)
+		}
+	}
+}
+
+// check validates every value the command reads, so a bad flag fails
+// before anything simulates. set holds the flags given explicitly.
+func check(o *options, c *command, set map[string]bool) error {
+	for _, name := range c.flags {
+		var err error
+		switch name {
+		case "experiment":
+			o.ids, err = parseExperimentIDs(o.experiment)
+		case "dur":
+			err = positive(name, o.dur)
+		case "sample":
+			err = positive(name, o.sample)
+		case "combo":
+			o.comboSpec, err = experiment.ComboByName(o.combo)
+		case "workers":
+			err = validateWorkers(o.workers)
+		case "coordinator":
+			if o.coordinator != "" {
+				o.fleet, err = cluster.NewClient(o.coordinator)
+			} else if set["priority"] || set["tenant"] {
+				err = errors.New("-priority and -tenant need -coordinator")
+			}
+		case "priority":
+			if !cluster.ValidPriority(o.priority) {
+				err = fmt.Errorf("unknown -priority %q (valid: %s %s)", o.priority, cluster.PriorityInteractive, cluster.PriorityBatch)
+			}
+		case "counts": // after "experiment", which sets o.ids
+			if !slices.Contains(o.ids, "scaling") && (set["counts"] || set["tree"] || set["msg-ns"]) {
+				err = errors.New("-counts, -tree and -msg-ns need the scaling experiment")
+			}
+		case "msg-ns":
+			if o.msgNS <= 0 {
+				err = fmt.Errorf("-msg-ns must be > 0, got %d", o.msgNS)
+			}
+		case "fig":
+			if o.fig < 1 || o.fig > 3 {
+				err = fmt.Errorf("unknown -fig %d (valid: 1 2 3)", o.fig)
+			}
+		case "scheme":
+			if _, e := config.SchemeByKind(config.SchemeKind(o.scheme)); e != nil {
+				err = fmt.Errorf("unknown -scheme %q (valid: %s)", o.scheme, schemeNames)
+			}
+		case "mode":
+			if _, ok := tuneModes[o.mode]; !ok {
+				err = fmt.Errorf("unknown -mode %q (valid: %s)", o.mode, strings.Join(tuneModeNames, " | "))
 			}
 		}
-		return ids, nil
-	}
-	valid := make(map[string]bool, len(experimentIDs))
-	for _, id := range experimentIDs {
-		valid[id] = true
-	}
-	var ids []string
-	for _, raw := range strings.Split(exp, ",") {
-		id := strings.TrimSpace(strings.ToLower(raw))
-		if id == "" {
-			continue
+		if err != nil {
+			return err
 		}
-		if !valid[id] {
-			return nil, fmt.Errorf("unknown experiment %q (valid: all %s)",
-				strings.TrimSpace(raw), strings.Join(experimentIDs, " "))
+	}
+	return nil
+}
+
+// parse selects the command named by args[0] — no arguments or a
+// leading flag select the default experiment mode — then parses and
+// checks its flags. Every error it returns is a usage error whose
+// message and usage text are already written to out.
+func parse(args []string, out io.Writer) (*command, *options, error) {
+	c := &commands[0]
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		for i := range commands {
+			if commands[i].name == args[0] {
+				c = &commands[i]
+			}
 		}
-		ids = append(ids, id)
+		if c.name != args[0] {
+			err := fmt.Errorf("unknown command %q (valid: %s, or flags for the default experiment mode)",
+				args[0], subcommands())
+			fmt.Fprintf(out, "hcappsim: %v\n", err)
+			usage(out, c, nil)
+			return nil, nil, err
+		}
+		args = args[1:]
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("no experiment ids given (valid: all %s)", strings.Join(experimentIDs, " "))
+	o := &options{}
+	fs := flag.NewFlagSet(strings.TrimSpace("hcappsim "+c.name), flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.Usage = func() { usage(out, c, fs) }
+	define(fs, o, c)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
 	}
-	return ids, nil
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	err := check(o, c, set)
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if err != nil {
+		fmt.Fprintf(out, "%s: %v\n", fs.Name(), err)
+		fs.Usage()
+		return nil, nil, err
+	}
+	return c, o, nil
+}
+
+// usage prints a command's synopsis and flags; the default mode's also
+// names the subcommands.
+func usage(out io.Writer, c *command, fs *flag.FlagSet) {
+	fmt.Fprintf(out, "usage: %s [flags]\n", strings.TrimSpace("hcappsim "+c.name))
+	if c.name == "" {
+		fmt.Fprintf(out, "       hcappsim %s [flags]\n", strings.ReplaceAll(subcommands(), " ", "|"))
+	}
+	if fs != nil {
+		fs.PrintDefaults()
+	}
+}
+
+// subcommands lists the subcommand names, space-separated.
+func subcommands() string {
+	var names []string
+	for _, c := range commands[1:] {
+		names = append(names, c.name)
+	}
+	return strings.Join(names, " ")
+}
+
+func main() {
+	c, o, err := parse(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if o.version {
+		buildinfo.Print(os.Stdout, "hcappsim")
+		return
+	}
+	if err := c.run(o); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", strings.TrimSpace("hcappsim "+c.name), err)
+		os.Exit(1)
+	}
+}
+
+// positive rejects a zero, negative or non-finite flag value.
+func positive(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("-%s must be a positive number, got %g", name, v)
+	}
+	return nil
 }
 
 // validateWorkers rejects non-positive pool sizes before anything runs
@@ -89,263 +284,28 @@ func validateWorkers(workers int) error {
 	return nil
 }
 
-func main() {
-	exp := flag.String("experiment", "all", "experiment id(s), comma-separated, or 'all'")
-	dur := flag.Float64("dur", 16, "target duration in milliseconds")
-	seed := flag.Int64("seed", 42, "workload generation seed")
-	combo := flag.String("combo", "Burst-Burst", "combo for fig1/fig2 traces")
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel simulation workers (output is identical at any width)")
-	coordinator := flag.String("coordinator", "", "offload simulations to the fleet coordinator at this URL (rendered output is identical)")
-	priority := flag.String("priority", cluster.PriorityBatch, "fleet priority class with -coordinator: interactive or batch")
-	tenant := flag.String("tenant", "", "fleet tenant id for rate limiting with -coordinator")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "hcappsim")
-		return
-	}
+// counts is the -counts flag: comma-separated positive integers.
+type counts []int
 
-	ids, err := parseExperimentIDs(*exp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hcappsim: %v\n", err)
-		os.Exit(2)
+func (c *counts) String() string {
+	parts := make([]string, len(*c))
+	for i, n := range *c {
+		parts[i] = strconv.Itoa(n)
 	}
-	if err := validateWorkers(*workers); err != nil {
-		fmt.Fprintf(os.Stderr, "hcappsim: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	runner := experiment.NewRunner(*workers)
-	ev := experiment.NewEvaluator().WithTargetDur(sim.Time(*dur * float64(sim.Millisecond))).WithRunner(runner)
-	ev.Cfg.Seed = *seed
-
-	var fleet *cluster.Client
-	if *coordinator != "" {
-		if !cluster.ValidPriority(*priority) {
-			fmt.Fprintf(os.Stderr, "hcappsim: unknown -priority %q (valid: %s, %s)\n",
-				*priority, cluster.PriorityInteractive, cluster.PriorityBatch)
-			os.Exit(2)
-		}
-		fleet, err = cluster.NewClient(*coordinator)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcappsim: %v\n", err)
-			os.Exit(2)
-		}
-		fleet.Priority = *priority
-		fleet.Tenant = *tenant
-		if err := fleet.Ping(context.Background(), 10*time.Second); err != nil {
-			fmt.Fprintf(os.Stderr, "hcappsim: %v\n", err)
-			os.Exit(2)
-		}
-		// Uncached runs now execute on the fleet; the local run cache,
-		// single-flight dedup, and all rendering are untouched, so output
-		// is byte-identical to a local run.
-		ev.Remote = fleet
-	}
-
-	for _, id := range ids {
-		if err := run(ev, runner, fleet, id, *combo); err != nil {
-			fmt.Fprintf(os.Stderr, "hcappsim: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
+	return strings.Join(parts, ",")
 }
 
-func run(ev *experiment.Evaluator, runner *experiment.Runner, fleet *cluster.Client, id, comboName string) error {
-	switch id {
-	case "table1":
-		fmt.Print(experiment.Table1())
-		if experiment.Table1Feasible() {
-			fmt.Println("round trip fits inside the HCAPP control period: OK")
-		} else {
-			fmt.Println("WARNING: round trip exceeds the HCAPP control period")
+func (c *counts) Set(s string) error {
+	*c = nil
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return fmt.Errorf("bad count %q (want positive integers)", part)
 		}
-	case "table2":
-		fmt.Println("Table 2: Details of CPU and GPU Configuration")
-		fmt.Print(ev.Cfg.Table2())
-	case "table3":
-		fmt.Println("Table 3: Benchmark Combinations Used for Validation")
-		fmt.Print(experiment.Table3())
-	case "fig1":
-		combo, err := experiment.ComboByName(comboName)
-		if err != nil {
-			return err
-		}
-		pts, avg, err := ev.Fig1(combo, 100*sim.Microsecond)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Fig 1: %s static-voltage power trace normalized to average (%.1f W)\n", combo.Name, avg)
-		fmt.Printf("%12s %12s\n", "time", "P/avg")
-		for _, p := range pts {
-			fmt.Printf("%12s %12.3f\n", sim.FormatTime(p.T), p.P)
-		}
-	case "fig2":
-		combo, err := experiment.ComboByName(comboName)
-		if err != nil {
-			return err
-		}
-		windows := []sim.Time{20 * sim.Microsecond, 1 * sim.Millisecond, 10 * sim.Millisecond}
-		series, avg, err := ev.Fig2(combo, windows, 200*sim.Microsecond)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Fig 2: %s power over limit time windows, normalized to average (%.1f W)\n", combo.Name, avg)
-		fmt.Printf("peak/avg per window:")
-		for _, w := range windows {
-			peak := 0.0
-			for _, p := range series[w] {
-				if p.P > peak {
-					peak = p.P
-				}
-			}
-			fmt.Printf("  %s: %.3f", sim.FormatTime(w), peak)
-		}
-		fmt.Println()
-	case "fig4":
-		return render(ev.Fig4())
-	case "fig5":
-		return render(ev.Fig5())
-	case "fig6":
-		return render(ev.Fig6())
-	case "fig7":
-		return render(ev.Fig7())
-	case "fig8":
-		return render(ev.Fig8())
-	case "fig9":
-		return render(ev.Fig9())
-	case "fig10":
-		return render(ev.Fig10())
-	case "scaling":
-		sc := experiment.DefaultScalingConfig()
-		if fleet != nil {
-			// The scaling sweep builds engines directly rather than going
-			// through the evaluator, so it offloads cell-by-cell.
-			sc.Cell = fleet.ScalingCellFunc()
-		}
-		res, err := experiment.RunScalingWith(runner, ev.Cfg, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res.Render())
-	case "policies":
-		return render(ev.ExtensionSoftwarePolicies())
-	case "centralized":
-		return render(ev.ExtensionCentralized(config.PackagePinLimit()))
-	case "locals":
-		return render(ev.AblationLocalControllers())
-	case "clocking":
-		return render(ev.AblationClocking())
-	case "thermal":
-		out, err := ev.RenderThermalCheck()
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-	case "faults":
-		combo, err := experiment.ComboByName(comboName)
-		if err != nil {
-			return err
-		}
-		results, err := ev.RunFaultInjection(combo)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiment.RenderFaultInjection(combo, results))
-	case "fault-sweep":
-		combo, err := experiment.ComboByName(comboName)
-		if err != nil {
-			return err
-		}
-		sweep, err := ev.RunFaultSweep(combo, config.PackagePinLimit(), 0, ev.Cfg.Seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiment.RenderFaultSweep(sweep))
-		reg := telemetry.NewRegistry()
-		sweep.Publish(fault.NewMetrics(reg))
-		fmt.Println("\nResilience counters (Prometheus text):")
-		fmt.Print(reg.Text())
-	case "energy":
-		combo, err := experiment.ComboByName(comboName)
-		if err != nil {
-			return err
-		}
-		rep, err := ev.RunEnergyAttribution(combo, config.PackagePinLimit())
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiment.RenderEnergyAttribution(rep))
-	case "vreff":
-		return render(ev.AblationVREfficiency())
-	case "retarget":
-		combo, err := experiment.ComboByName(comboName)
-		if err != nil {
-			return err
-		}
-		r, err := ev.RunRetarget(combo)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-	case "seeds":
-		sw, err := experiment.RunSeedSweepWith(runner, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), ev.TargetDur)
-		if err != nil {
-			return err
-		}
-		fmt.Print(sw.Render())
-	case "checks":
-		checks, err := ev.ShapeChecks()
-		if err != nil {
-			return err
-		}
-		for _, c := range checks {
-			mark := "PASS"
-			if !c.Pass {
-				mark = "FAIL"
-			}
-			fmt.Printf("%-4s %s (%s)\n", mark, c.Name, c.Detail)
-		}
-		if failed := experiment.Failed(checks); len(failed) > 0 {
-			return fmt.Errorf("%d shape check(s) failed", len(failed))
-		}
-	case "adversarial":
-		c, err := experiment.ComboByName("Hi-Hi")
-		if err != nil {
-			return err
-		}
-		scheme, err := config.SchemeByKind(config.HCAPP)
-		if err != nil {
-			return err
-		}
-		limit := config.PackagePinLimit()
-		honest, err := ev.Run(experiment.RunSpec{Combo: c, Scheme: scheme, Limit: limit})
-		if err != nil {
-			return err
-		}
-		adv, err := ev.Run(experiment.RunSpec{Combo: c, Scheme: scheme, Limit: limit, AdversarialAccel: true})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Adversarial accelerator local controller (Hi-Hi, %s limit)\n", limit.Name)
-		fmt.Printf("%-14s max/limit=%.3f violated=%v cpu-done=%s\n", "pass-through",
-			honest.MaxOverLimit, honest.Violated, sim.FormatTime(honest.Completion["cpu"]))
-		fmt.Printf("%-14s max/limit=%.3f violated=%v cpu-done=%s\n", "adversarial",
-			adv.MaxOverLimit, adv.Violated, sim.FormatTime(adv.Completion["cpu"]))
-	default:
-		// parseExperimentIDs screens ids before this runs; reaching here
-		// means the registry lists an id the switch does not handle.
-		return fmt.Errorf("experiment %q is registered but not implemented", id)
+		*c = append(*c, n)
 	}
 	return nil
 }
 
-func render(m *experiment.Matrix, err error) error {
-	if err != nil {
-		return err
-	}
-	fmt.Print(m.Render())
-	return nil
-}
+// durOf converts a validated -dur value to simulated time.
+func durOf(ms float64) sim.Time { return sim.Time(ms * float64(sim.Millisecond)) }

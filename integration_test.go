@@ -120,7 +120,7 @@ func TestSoftwarePriorityInterface(t *testing.T) {
 
 // TestShapeChecks runs the shared shape-check suite at a reduced
 // horizon (SW-like checks self-skip below its 10 ms period; the full
-// set runs via cmd/hcapp-report and the benchmarks).
+// set runs via hcappsim report and the benchmarks).
 func TestShapeChecks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration suite in -short mode")

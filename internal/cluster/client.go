@@ -77,7 +77,7 @@ func (c *Client) maxAttempts() int {
 // not draining), retrying connection failures and 503s with jittered
 // backoff until the deadline. A Retry-After header on the 503 floors
 // the next probe delay. It returns an error when the coordinator stays
-// unreachable or unready — the CLIs exit 2 on that.
+// unreachable or unready — hcappsim exits 1 on that.
 func (c *Client) Ping(ctx context.Context, patience time.Duration) error {
 	deadline := time.Now().Add(patience)
 	var last error
@@ -215,7 +215,7 @@ func (c *Client) RunRemote(ctx context.Context, seed int64, targetDur sim.Time, 
 }
 
 // ScalingCellFunc adapts the client to experiment.ScalingConfig.Cell so
-// hcapp-sweep's chiplet-count sweep executes cell-by-cell on the fleet.
+// hcappsim's chiplet-count scaling sweep executes cell-by-cell on the fleet.
 func (c *Client) ScalingCellFunc() func(ctx context.Context, cfg config.SystemConfig, sc experiment.ScalingConfig, triples int, period sim.Time, limit float64) (float64, float64, error) {
 	return func(ctx context.Context, cfg config.SystemConfig, sc experiment.ScalingConfig, triples int, period sim.Time, limit float64) (float64, float64, error) {
 		cell := ScalingCell{

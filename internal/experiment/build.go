@@ -30,8 +30,8 @@ const DefaultTargetDuration = 16 * sim.Millisecond
 // because less overshoot can average away inside the window ("the power
 // target is not the power limit because HCAPP will have maximum values
 // above the power target and those cannot exceed the power limit",
-// §5.1). Values come from the calibration sweep in calibrate.go
-// (cmd/hcapp-tune regenerates them).
+// §5.1). Values come from the guardband calibration sweep
+// (hcappsim tune -mode target regenerates it).
 func TargetPowerFor(limit config.PowerLimit) float64 {
 	if limit.Window <= 100*sim.Microsecond {
 		return limit.Watts * 0.86

@@ -45,27 +45,25 @@ func (m *Matrix) Get(row, col string) (float64, bool) {
 	return v, ok
 }
 
-// RowAvg returns the arithmetic mean across the row's set values.
-func (m *Matrix) RowAvg(row string) float64 {
+// rowValues returns the row's set values in column order.
+func (m *Matrix) rowValues(row string) []float64 {
 	var vals []float64
 	for _, c := range m.Cols {
 		if v, ok := m.values[row][c]; ok {
 			vals = append(vals, v)
 		}
 	}
-	return stats.Mean(vals...)
+	return vals
 }
 
+// RowAvg returns the arithmetic mean across the row's set values.
+func (m *Matrix) RowAvg(row string) float64 { return stats.Mean(m.rowValues(row)...) }
+
 // RowMax returns the maximum across the row's set values.
-func (m *Matrix) RowMax(row string) float64 {
-	var vals []float64
-	for _, c := range m.Cols {
-		if v, ok := m.values[row][c]; ok {
-			vals = append(vals, v)
-		}
-	}
-	return stats.Max(vals...)
-}
+func (m *Matrix) RowMax(row string) float64 { return stats.Max(m.rowValues(row)...) }
+
+// RowMin returns the minimum across the row's set values.
+func (m *Matrix) RowMin(row string) float64 { return stats.Min(m.rowValues(row)...) }
 
 // Render formats the matrix as an aligned text table with an Ave.
 // column, the textual equivalent of the paper's bar charts.

@@ -31,11 +31,17 @@ func TestMatrixRowAvgAndMax(t *testing.T) {
 	if got := m.RowMax("A"); got != 6 {
 		t.Fatalf("RowMax = %g", got)
 	}
-	// Partially filled rows average over set values only.
+	if got := m.RowMin("A"); got != 1 {
+		t.Fatalf("RowMin = %g", got)
+	}
+	// Partially filled rows reduce over set values only.
 	m2 := NewMatrix("t", "", []string{"A"}, []string{"x", "y"})
 	m2.Set("A", "x", 4)
 	if got := m2.RowAvg("A"); got != 4 {
 		t.Fatalf("partial RowAvg = %g", got)
+	}
+	if got := m2.RowMin("A"); got != 4 {
+		t.Fatalf("partial RowMin = %g", got)
 	}
 	// Empty rows are NaN.
 	if got := m2.RowAvg("B"); !math.IsNaN(got) {

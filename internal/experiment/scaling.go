@@ -56,7 +56,7 @@ type ScalingConfig struct {
 	// Dur is the run length.
 	Dur sim.Time
 	// Cell, when non-nil, executes one (triples, period) sweep cell —
-	// hcapp-sweep points it at a cluster coordinator so the fleet
+	// hcappsim -coordinator points it at a cluster coordinator so the fleet
 	// simulates instead of this process. Nil simulates locally via
 	// RunScalingCell. Implementations must match RunScalingCell
 	// bit-for-bit for the rendered sweep to be node-count independent.

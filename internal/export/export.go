@@ -1,6 +1,6 @@
 // Package export serializes experiment outputs — power traces, figure
 // matrices, run results — as CSV and JSON for external plotting and for
-// the report generator (cmd/hcapp-report).
+// the report generator (hcappsim report).
 package export
 
 import (

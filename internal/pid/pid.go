@@ -2,7 +2,7 @@
 // HCAPP's global voltage controller (paper Eq. 2): a PID controller with a
 // feed-forward (offset) term, output clamping, anti-windup, and a filtered
 // derivative. It also provides step-response tuning helpers used by
-// cmd/hcapp-tune, mirroring the manual procedure in paper §3.1 (raise KP
+// hcappsim tune, mirroring the manual procedure in paper §3.1 (raise KP
 // until instability, then raise KI until the steady state is reached).
 package pid
 

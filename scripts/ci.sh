@@ -64,6 +64,15 @@ go build -o "$tmp/hcappsim" ./cmd/hcappsim
 diff -u "$tmp/seq.out" "$tmp/par.out"
 echo "parallel output identical"
 
+# Report determinism: the paper-vs-measured report must exit 0 at a
+# 2 ms horizon (its horizon-guarded shape checks report a skip there,
+# not a failure) and be byte-identical at 1 and 4 workers.
+echo "== report determinism diff =="
+"$tmp/hcappsim" report -dur 2 -workers 1 >"$tmp/report-seq.md"
+"$tmp/hcappsim" report -dur 2 -workers 4 >"$tmp/report-par.md"
+diff -u "$tmp/report-seq.md" "$tmp/report-par.md"
+echo "report passes and is identical at 1 and 4 workers"
+
 # Stride determinism: striding through steady-state regions is an
 # execution detail, never a model change. A binary built with the
 # hcapp_fixedstep tag never strides; the ENTIRE experiment registry
