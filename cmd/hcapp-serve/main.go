@@ -37,7 +37,8 @@
 // byte-identical (docs/CLUSTER.md).
 //
 // The process drains gracefully on SIGTERM/SIGINT: in-flight
-// simulations finish (bounded by -drain), new submissions get 503.
+// simulations finish (bounded by -drain-timeout), new submissions get
+// 503.
 // See docs/METRICS.md for the metric catalogue and README.md for curl
 // examples.
 package main
@@ -72,8 +73,7 @@ func main() {
 	maxDurMS := flag.Float64("max-dur", 64, "maximum per-job target duration, simulated ms")
 	maxJobs := flag.Int("max-jobs", 256, "retained job table size")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock budget; exceeding it fails the job with a timeout reason (0 disables)")
-	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown drain budget")
-	drainAlias := flag.Duration("drain", 0, "deprecated alias for -drain-timeout")
+	drain := flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown drain budget")
 	role := flag.String("role", "standalone", "node role: standalone, coordinator or worker")
 	coordinator := flag.String("coordinator", "", "coordinator base URL (worker role)")
 	advertise := flag.String("advertise", "", "base URL the coordinator dials this worker back on (worker role; default derived from -addr on loopback)")
@@ -91,11 +91,6 @@ func main() {
 	if *version {
 		buildinfo.Print(os.Stdout, "hcapp-serve")
 		return
-	}
-
-	drain := drainTimeout
-	if *drainAlias > 0 {
-		drain = drainAlias
 	}
 
 	// Chaos is opt-in and scoped to the cluster transport: the injector

@@ -19,21 +19,21 @@ func runTrace(o *options) error {
 	ev := experiment.NewEvaluator().WithTargetDur(durOf(o.dur))
 	combo := o.comboSpec
 	sample := sim.Time(o.sample * float64(sim.Microsecond))
-	scheme, target := ev.FixedScheme(), 0.0
+	spec := experiment.RunSpec{Combo: combo, Scheme: ev.FixedScheme(), Limit: config.PackagePinLimit()}
 	if o.scheme != string(config.FixedVoltage) {
-		scheme, _ = config.SchemeByKind(config.SchemeKind(o.scheme)) // check validated it
-		target = experiment.TargetPowerFor(config.PackagePinLimit())
+		spec.Scheme, _ = config.SchemeByKind(config.SchemeKind(o.scheme)) // check validated it
 	}
 
 	switch o.fig {
 	case 1:
-		pts, avg, err := traceFor(ev, combo, scheme, target, sample)
+		rec, err := tracedRun(ev, spec, false)
 		if err != nil {
 			return err
 		}
+		avg := rec.AvgPower()
 		fmt.Printf("# combo=%s scheme=%s avg_power_w=%.2f\n", combo.Name, o.scheme, avg)
 		fmt.Println("time_us,power_normalized")
-		for _, p := range pts {
+		for _, p := range trace.Normalize(rec.Series(sample), avg) {
 			fmt.Printf("%.1f,%.4f\n", float64(p.T)/float64(sim.Microsecond), p.P)
 		}
 	case 2:
@@ -56,39 +56,31 @@ func runTrace(o *options) error {
 				series[windows[0]][i].P, series[windows[1]][i].P, series[windows[2]][i].P)
 		}
 	case 3:
-		return voltageTrace(ev, combo, scheme, target, sample)
+		return voltageTrace(ev, spec, sample)
 	}
 	return nil
 }
 
-// buildSized builds one combo with its work sized to the evaluator's
-// horizon, for the tools that drive an engine directly instead of
-// through Evaluator.Run.
-func buildSized(ev *experiment.Evaluator, combo experiment.Combo, scheme config.Scheme, target float64, track bool) (*experiment.System, error) {
-	sizing, err := experiment.SizeWork(ev.Cfg, combo, ev.FixedV, ev.TargetDur)
+// tracedRun runs spec's sized system for exactly the evaluator's
+// TargetDur (idle tails included, as in Fig. 1) and returns its trace;
+// track adds the per-component and voltage columns.
+func tracedRun(ev *experiment.Evaluator, spec experiment.RunSpec, track bool) (*trace.Recorder, error) {
+	sys, _, err := ev.BuildSized(spec, func(o *experiment.BuildOptions) { o.TrackComponents = track })
 	if err != nil {
 		return nil, err
 	}
-	return experiment.Build(ev.Cfg, combo, experiment.BuildOptions{
-		Scheme:          scheme,
-		TargetPower:     target,
-		CPUWork:         sizing.CPUWork,
-		GPUWork:         sizing.GPUWork,
-		AccelWorkGB:     sizing.AccelGB,
-		TrackComponents: track,
-	})
+	sys.Engine.RunFor(ev.TargetDur)
+	return sys.Engine.Recorder(), nil
 }
 
 // voltageTrace runs one combo with component and voltage tracking and
 // emits aligned power/voltage CSV columns — the view of the controller
 // at work.
-func voltageTrace(ev *experiment.Evaluator, combo experiment.Combo, scheme config.Scheme, target float64, sample sim.Time) error {
-	sys, err := buildSized(ev, combo, scheme, target, true)
+func voltageTrace(ev *experiment.Evaluator, spec experiment.RunSpec, sample sim.Time) error {
+	rec, err := tracedRun(ev, spec, true)
 	if err != nil {
 		return err
 	}
-	sys.Engine.RunFor(ev.TargetDur)
-	rec := sys.Engine.Recorder()
 	cpuW := rec.ComponentSeries("cpu", sample)
 	gpuW := rec.ComponentSeries("gpu", sample)
 	shaW := rec.ComponentSeries("sha", sample)
@@ -106,7 +98,7 @@ func voltageTrace(ev *experiment.Evaluator, combo experiment.Combo, scheme confi
 		cumulativeEnergy(gpuW, sample),
 		cumulativeEnergy(shaW, sample),
 	}
-	fmt.Printf("# combo=%s scheme=%s\n", combo.Name, scheme.Kind)
+	fmt.Printf("# combo=%s scheme=%s\n", spec.Combo.Name, spec.Scheme.Kind)
 	return export.WriteSeriesCSV(os.Stdout, names, series...)
 }
 
@@ -123,25 +115,4 @@ func cumulativeEnergy(pts []trace.Point, sample sim.Time) []trace.Point {
 		out[i] = trace.Point{T: p.T, P: acc}
 	}
 	return out
-}
-
-// traceFor runs one combo under the scheme and returns its normalized
-// trace.
-func traceFor(ev *experiment.Evaluator, combo experiment.Combo, scheme config.Scheme, target float64, sample sim.Time) ([]trace.Point, float64, error) {
-	if scheme.Kind == config.FixedVoltage {
-		return ev.Fig1(combo, sample)
-	}
-	sys, err := buildSized(ev, combo, scheme, target, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	sys.Engine.RunFor(ev.TargetDur)
-	rec := sys.Engine.Recorder()
-	avg := rec.AvgPower()
-	raw := rec.Series(sample)
-	out := make([]trace.Point, len(raw))
-	for i, p := range raw {
-		out[i] = trace.Point{T: p.T, P: p.P / avg}
-	}
-	return out, avg, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"hcapp/internal/config"
@@ -99,7 +100,12 @@ func targetSweep(ev *experiment.Evaluator) error {
 			worst, ppeSum := 0.0, 0.0
 			n := 0
 			for _, combo := range experiment.Suite() {
-				r, err := runWithTarget(ev, combo, hcapp, limit, target)
+				_, run, err := ev.BuildSized(experiment.RunSpec{Combo: combo, Scheme: hcapp, Limit: limit},
+					func(o *experiment.BuildOptions) { o.TargetPower = target })
+				if err != nil {
+					return err
+				}
+				r, err := run(context.Background())
 				if err != nil {
 					return err
 				}
@@ -113,24 +119,6 @@ func targetSweep(ev *experiment.Evaluator) error {
 		}
 	}
 	return nil
-}
-
-// runWithTarget runs one combo with an explicit power target, bypassing
-// the evaluator cache.
-func runWithTarget(ev *experiment.Evaluator, combo experiment.Combo, scheme config.Scheme, limit config.PowerLimit, target float64) (experiment.RunResult, error) {
-	sys, err := buildSized(ev, combo, scheme, target, false)
-	if err != nil {
-		return experiment.RunResult{}, err
-	}
-	res := sys.Engine.Run(3 * ev.TargetDur)
-	rec := sys.Engine.Recorder()
-	return experiment.RunResult{
-		MaxWindowPower: rec.MaxWindowAvg(limit.Window),
-		AvgPower:       rec.AvgPower(),
-		PPE:            rec.PPE(limit.Watts),
-		Duration:       res.Duration,
-		Completed:      res.Completed,
-	}, nil
 }
 
 // pidCheck reports HCAPP tracking quality on each combo.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hcapp/internal/config"
-	"hcapp/internal/sim"
 )
 
 // Ablations of the design choices DESIGN.md calls out: the value of the
@@ -13,35 +12,6 @@ import (
 // underperforms), the choice of GPU local metric (dynamic IPC vs the
 // dynamic-warp/occupancy alternative, §3.3.2), and adaptive clocking vs
 // static guardbanding (§3.5).
-
-// runVariant executes one combo under HCAPP with arbitrary build-option
-// mutations and returns the result (uncached).
-func (ev *Evaluator) runVariant(combo Combo, limit config.PowerLimit, mutate func(*BuildOptions)) (RunResult, error) {
-	hcapp, err := config.SchemeByKind(config.HCAPP)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sizing, err := ev.sizingFor(combo)
-	if err != nil {
-		return RunResult{}, err
-	}
-	opts := BuildOptions{
-		Scheme:      hcapp,
-		TargetPower: TargetPowerFor(limit),
-		CPUWork:     sizing.CPUWork,
-		GPUWork:     sizing.GPUWork,
-		AccelWorkGB: sizing.AccelGB,
-	}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	sys, err := Build(ev.Cfg, combo, opts)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := sys.Engine.Run(sim.Time(float64(ev.TargetDur) * ev.MaxDurFactor))
-	return newRunResult(RunSpec{Combo: combo, Scheme: hcapp, Limit: limit}, sys.Engine.Recorder(), res), nil
-}
 
 // AblationLocalControllers compares HCAPP's level-3 designs at the slow
 // limit: no local controllers at all (the CAPP-without-local ablation),
@@ -90,25 +60,14 @@ func (ev *Evaluator) variantBatch(limit config.PowerLimit, mutations []func(*Bui
 	suite := Suite()
 	perCombo := 1 + len(mutations)
 	results := make([]RunResult, perCombo*len(suite))
-	err := ev.runner.Tasks(context.Background(), len(results), func(ctx context.Context, i int) error {
+	err := ev.runner.Tasks(context.Background(), len(results), func(ctx context.Context, i int) (err error) {
 		combo := suite[i/perCombo]
-		var (
-			r    RunResult
-			rerr error
-		)
 		if pi := i % perCombo; pi == 0 {
-			r, rerr = ev.RunContext(ctx, RunSpec{Combo: combo, Scheme: ev.FixedScheme(), Limit: limit})
+			results[i], err = ev.RunContext(ctx, RunSpec{Combo: combo, Scheme: ev.FixedScheme(), Limit: limit})
 		} else {
-			r, rerr = ev.runVariant(combo, limit, mutations[pi-1])
+			results[i], err = ev.runVariant(ctx, hcappSpec(combo, limit), mutations[pi-1])
 		}
-		if rerr != nil {
-			return rerr
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -162,30 +121,21 @@ func (ev *Evaluator) AblationClocking() (*Matrix, error) {
 // paper's §3.5 assumption ("the power constraint is lower than the TDP
 // so temperature effects are not modeled") holds on this system.
 func (ev *Evaluator) ThermalCheck() (peakCPU, peakGPU float64, tripped bool, err error) {
+	return ev.thermalCheck(context.Background())
+}
+
+func (ev *Evaluator) thermalCheck(ctx context.Context) (peakCPU, peakGPU float64, tripped bool, err error) {
 	combo, err := ComboByName("Hi-Hi")
 	if err != nil {
 		return 0, 0, false, err
 	}
-	sizing, err := ev.sizingFor(combo)
+	sys, run, err := ev.BuildSized(hcappSpec(combo, config.OffPackageVRLimit()), func(o *BuildOptions) { o.EnableThermal = true })
 	if err != nil {
 		return 0, 0, false, err
 	}
-	hcapp, err := config.SchemeByKind(config.HCAPP)
-	if err != nil {
+	if _, err := run(ctx); err != nil {
 		return 0, 0, false, err
 	}
-	sys, err := Build(ev.Cfg, combo, BuildOptions{
-		Scheme:        hcapp,
-		TargetPower:   TargetPowerFor(config.OffPackageVRLimit()),
-		CPUWork:       sizing.CPUWork,
-		GPUWork:       sizing.GPUWork,
-		AccelWorkGB:   sizing.AccelGB,
-		EnableThermal: true,
-	})
-	if err != nil {
-		return 0, 0, false, err
-	}
-	sys.Engine.Run(sim.Time(float64(ev.TargetDur) * ev.MaxDurFactor))
 	return sys.CPU.PeakTemp(), sys.GPU.PeakTemp(),
 		sys.CPU.ThermalTripped() || sys.GPU.ThermalTripped(), nil
 }

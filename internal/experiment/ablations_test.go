@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"hcapp/internal/config"
@@ -9,9 +10,9 @@ import (
 func TestRunVariantKnobs(t *testing.T) {
 	ev := shortEvaluator()
 	combo := mustCombo2(t, "Mid-Mid")
-	limit := config.PackagePinLimit()
+	spec := hcappSpec(combo, config.PackagePinLimit())
 
-	base, err := ev.runVariant(combo, limit, nil)
+	base, err := ev.runVariant(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestRunVariantKnobs(t *testing.T) {
 	}
 
 	// Guardbanded clocking must slow the package down at the same rail.
-	gb, err := ev.runVariant(combo, limit, func(o *BuildOptions) { o.VoltageMargin = 0.05 })
+	gb, err := ev.runVariant(context.Background(), spec, func(o *BuildOptions) { o.VoltageMargin = 0.05 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestRunVariantKnobs(t *testing.T) {
 	}
 
 	// Disabling local controllers must still run and hold the limit.
-	nl, err := ev.runVariant(combo, limit, func(o *BuildOptions) { o.DisableLocalControl = true })
+	nl, err := ev.runVariant(context.Background(), spec, func(o *BuildOptions) { o.DisableLocalControl = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestRunVariantKnobs(t *testing.T) {
 	}
 
 	// The occupancy controller must build and run.
-	occ, err := ev.runVariant(combo, limit, func(o *BuildOptions) { o.GPUController = "dynamic-occupancy" })
+	occ, err := ev.runVariant(context.Background(), spec, func(o *BuildOptions) { o.GPUController = "dynamic-occupancy" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestRunVariantKnobs(t *testing.T) {
 	}
 
 	// Unknown controller must fail.
-	if _, err := ev.runVariant(combo, limit, func(o *BuildOptions) { o.GPUController = "psychic" }); err == nil {
+	if _, err := ev.runVariant(context.Background(), spec, func(o *BuildOptions) { o.GPUController = "psychic" }); err == nil {
 		t.Fatal("unknown GPU controller accepted")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"hcapp/internal/config"
-	"hcapp/internal/core"
 	"hcapp/internal/energy"
 	"hcapp/internal/fault"
 	"hcapp/internal/sim"
@@ -123,23 +122,14 @@ func (ev *Evaluator) RunEnergyAttribution(faultCombo Combo, limit config.PowerLi
 		if err != nil {
 			return err
 		}
-		sys, err := Build(ev.Cfg, faultCombo, BuildOptions{
-			Scheme:      scheme,
-			TargetPower: TargetPowerFor(limit),
-			Injector:    inj,
-			Clamp:       &core.ClampConfig{CapW: limit.Watts, Window: limit.Window, DT: ev.Cfg.TimeStep},
-			Watchdog:    core.WatchdogConfig{Timeout: DefaultWatchdogTimeout},
-			Holdover:    core.HoldoverConfig{MaxAge: DefaultHoldoverMaxAge},
-			TrackEnergy: true,
-		})
+		run, err := ev.buildSweepSystem(faultCombo, limit, inj, false, true)
 		if err != nil {
 			return err
 		}
-		if err := ctx.Err(); err != nil {
+		if err := run.finish(ctx, ev.TargetDur); err != nil {
 			return err
 		}
-		sys.Engine.RunFor(ev.TargetDur)
-		rows[i] = energyRow(scenarios[i].Plan.Name, sys.Energy.Summary())
+		rows[i] = energyRow(scenarios[i].Plan.Name, run.sys.Energy.Summary())
 		return nil
 	})
 	if err != nil {

@@ -68,40 +68,23 @@ var DefaultWorkSkew = map[string]float64{"cpu": 1.0, "gpu": 1.3, "sha": 0.8}
 // and per-component work-pool skew (nil skew means balanced pools).
 // Results are not cached: stateful policies need fresh instances.
 func (ev *Evaluator) RunPolicy(combo Combo, limit config.PowerLimit, policy string, skew map[string]float64) (RunResult, error) {
-	hcapp, err := config.SchemeByKind(config.HCAPP)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sizing, err := ev.sizingFor(combo)
-	if err != nil {
-		return RunResult{}, err
-	}
+	return ev.runPolicy(context.Background(), combo, limit, policy, skew)
+}
+
+func (ev *Evaluator) runPolicy(ctx context.Context, combo Combo, limit config.PowerLimit, policy string, skew map[string]float64) (RunResult, error) {
 	skewOf := func(name string) float64 {
-		if skew == nil {
-			return 1
-		}
 		if k, ok := skew[name]; ok && k > 0 {
 			return k
 		}
 		return 1
 	}
-	sup, err := buildSupervisor(policy)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sys, err := Build(ev.Cfg, combo, BuildOptions{
-		Scheme:      hcapp,
-		TargetPower: TargetPowerFor(limit),
-		CPUWork:     sizing.CPUWork * skewOf("cpu"),
-		GPUWork:     sizing.GPUWork * skewOf("gpu"),
-		AccelWorkGB: sizing.AccelGB * skewOf("sha"),
-		Supervisor:  sup,
+	spec := hcappSpec(combo, limit)
+	spec.Policy = policy
+	return ev.runVariant(ctx, spec, func(o *BuildOptions) {
+		o.CPUWork *= skewOf("cpu")
+		o.GPUWork *= skewOf("gpu")
+		o.AccelWorkGB *= skewOf("sha")
 	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := sys.Engine.Run(sim.Time(float64(ev.TargetDur) * ev.MaxDurFactor))
-	return newRunResult(RunSpec{Combo: combo, Scheme: hcapp, Limit: limit, Policy: policy}, sys.Engine.Recorder(), res), nil
 }
 
 // ExtensionSoftwarePolicies compares software policies layered on HCAPP
@@ -120,21 +103,13 @@ func (ev *Evaluator) ExtensionSoftwarePolicies() (*Matrix, error) {
 	suite := Suite()
 	perCombo := 1 + len(policies)
 	results := make([]RunResult, perCombo*len(suite))
-	err := ev.runner.Tasks(context.Background(), len(results), func(ctx context.Context, i int) error {
-		combo := suite[i/perCombo]
+	err := ev.runner.Tasks(context.Background(), len(results), func(ctx context.Context, i int) (err error) {
 		pname := ""
 		if pi := i % perCombo; pi > 0 {
 			pname = policies[pi-1]
 		}
-		r, err := ev.RunPolicy(combo, limit, pname, DefaultWorkSkew)
-		if err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
+		results[i], err = ev.runPolicy(ctx, suite[i/perCombo], limit, pname, DefaultWorkSkew)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -164,6 +139,10 @@ type CentralizedOptions struct {
 // RunCentralized executes one combo under the structurally centralized
 // controller and returns the same metrics as Evaluator.Run.
 func (ev *Evaluator) RunCentralized(combo Combo, limit config.PowerLimit, opts CentralizedOptions) (RunResult, error) {
+	return ev.runCentralized(context.Background(), combo, limit, opts)
+}
+
+func (ev *Evaluator) runCentralized(ctx context.Context, combo Combo, limit config.PowerLimit, opts CentralizedOptions) (RunResult, error) {
 	if opts.Rail == 0 {
 		opts.Rail = 1.05
 	}
@@ -172,10 +151,6 @@ func (ev *Evaluator) RunCentralized(combo Combo, limit config.PowerLimit, opts C
 	}
 	if opts.Network.MsgSerialization == 0 {
 		opts.Network = noc.DefaultBus()
-	}
-	sizing, err := ev.sizingFor(combo)
-	if err != nil {
-		return RunResult{}, err
 	}
 	nodes := ev.Cfg.CPU.Cores + ev.Cfg.GPU.SMs + 1
 	ctl, err := central.New(central.Config{
@@ -188,57 +163,33 @@ func (ev *Evaluator) RunCentralized(combo Combo, limit config.PowerLimit, opts C
 	if err != nil {
 		return RunResult{}, err
 	}
-	sys, err := Build(ev.Cfg, combo, BuildOptions{
-		Scheme:      config.Scheme{Kind: config.FixedVoltage, FixedV: opts.Rail},
-		CPUWork:     sizing.CPUWork,
-		GPUWork:     sizing.GPUWork,
-		AccelWorkGB: sizing.AccelGB,
-		Supervisor:  ctl,
+	rail := config.Scheme{Kind: config.FixedVoltage, FixedV: opts.Rail}
+	return ev.runVariant(ctx, RunSpec{Combo: combo, Scheme: rail, Limit: limit}, func(o *BuildOptions) {
+		o.Supervisor = ctl
 		// The centralized design still needs local control enabled so
 		// the comparison isolates the control *topology*, not the
 		// presence of level-3 controllers.
-		ForceLocalControl: true,
+		o.ForceLocalControl = true
 	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := sys.Engine.Run(sim.Time(float64(ev.TargetDur) * ev.MaxDurFactor))
-	return newRunResult(RunSpec{Combo: combo, Limit: limit}, sys.Engine.Recorder(), res), nil
 }
 
 // ExtensionCentralized compares HCAPP against the structurally
 // centralized controller on both limits: rows are the two designs,
 // values are max-power ratios (the §2 argument made quantitative).
 func (ev *Evaluator) ExtensionCentralized(limit config.PowerLimit) (*Matrix, error) {
-	hcapp, err := config.SchemeByKind(config.HCAPP)
-	if err != nil {
-		return nil, err
-	}
 	rows := []string{"HCAPP", "Centralized"}
 	m := NewMatrix(
 		fmt.Sprintf("Extension: HCAPP vs centralized allocator, %s limit", limit.Name),
 		"max power / limit", rows, comboNames())
 	suite := Suite()
 	results := make([]RunResult, 2*len(suite))
-	err = ev.runner.Tasks(context.Background(), len(results), func(ctx context.Context, i int) error {
-		combo := suite[i/2]
-		var (
-			r    RunResult
-			rerr error
-		)
-		if i%2 == 0 {
-			r, rerr = ev.RunContext(ctx, RunSpec{Combo: combo, Scheme: hcapp, Limit: limit})
+	err := ev.runner.Tasks(context.Background(), len(results), func(ctx context.Context, i int) (err error) {
+		if combo := suite[i/2]; i%2 == 0 {
+			results[i], err = ev.RunContext(ctx, hcappSpec(combo, limit))
 		} else {
-			r, rerr = ev.RunCentralized(combo, limit, CentralizedOptions{})
+			results[i], err = ev.runCentralized(ctx, combo, limit, CentralizedOptions{})
 		}
-		if rerr != nil {
-			return rerr
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -127,15 +127,17 @@ type sweepRun struct {
 	work    map[string]float64
 }
 
-// buildSweepSystem assembles one continuous-load system for the sweep:
+// buildSweepSystem assembles one continuous-load system for the sweep
+// (and the energy experiment's fault phase, which sets trackEnergy):
 // zero work pools (components run forever), clamp and watchdogs armed,
 // and either the HCAPP hierarchy with sensing holdover or the
 // centralized baseline with telemetry holdover.
-func (ev *Evaluator) buildSweepSystem(combo Combo, limit config.PowerLimit, inj *fault.Injector, centralized bool) (*sweepRun, error) {
+func (ev *Evaluator) buildSweepSystem(combo Combo, limit config.PowerLimit, inj *fault.Injector, centralized, trackEnergy bool) (*sweepRun, error) {
 	opts := BuildOptions{
-		Injector: inj,
-		Clamp:    &core.ClampConfig{CapW: limit.Watts, Window: limit.Window, DT: ev.Cfg.TimeStep},
-		Watchdog: core.WatchdogConfig{Timeout: DefaultWatchdogTimeout},
+		Injector:    inj,
+		Clamp:       &core.ClampConfig{CapW: limit.Watts, Window: limit.Window, DT: ev.Cfg.TimeStep},
+		Watchdog:    core.WatchdogConfig{Timeout: DefaultWatchdogTimeout},
+		TrackEnergy: trackEnergy,
 	}
 	run := &sweepRun{}
 	if centralized {
@@ -191,16 +193,25 @@ func telemetrySource(inj *fault.Injector) central.TelemetrySource {
 	return inj
 }
 
-// finish runs the system for dur and harvests the artifacts the row
-// metrics need.
-func (r *sweepRun) finish(dur sim.Time) {
-	r.sys.Engine.RunFor(dur)
+// finish runs the freshly built system for dur, polling ctx, and
+// harvests the artifacts the row metrics need. A cancelled ctx stops
+// the engine at its next poll (an already-cancelled one before the
+// first step) and returns ctx.Err().
+func (r *sweepRun) finish(ctx context.Context, dur sim.Time) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	r.sys.Engine.RunWithCancel(dur, func() bool { return ctx.Err() != nil })
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	r.totals = r.sys.Engine.Recorder().Totals()
 	r.work = map[string]float64{
 		"cpu": r.sys.CPU.DoneWork(),
 		"gpu": r.sys.GPU.DoneWork(),
 		"sha": r.sys.Accel.DoneWork(),
 	}
+	return nil
 }
 
 // RunFaultSweep produces the resilience table for one combo under one
@@ -241,14 +252,13 @@ func (ev *Evaluator) RunFaultSweep(combo Combo, limit config.PowerLimit, dur sim
 			inj = injs[i-2]
 			centralized = scenarios[i-2].Centralized
 		}
-		run, err := ev.buildSweepSystem(combo, limit, inj, centralized)
+		run, err := ev.buildSweepSystem(combo, limit, inj, centralized, false)
 		if err != nil {
 			return err
 		}
-		if err := ctx.Err(); err != nil {
+		if err := run.finish(ctx, dur); err != nil {
 			return err
 		}
-		run.finish(dur)
 		runs[i] = run
 		return nil
 	})

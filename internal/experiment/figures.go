@@ -24,28 +24,12 @@ func comboNames() []string {
 // workload; Hi-Hi is the closest suite member. Returns the normalized
 // series and the average power in watts.
 func (ev *Evaluator) Fig1(combo Combo, sampleEvery sim.Time) ([]trace.Point, float64, error) {
-	sizing, err := ev.sizingFor(combo)
+	rec, err := ev.staticRun(combo)
 	if err != nil {
 		return nil, 0, err
 	}
-	sys, err := Build(ev.Cfg, combo, BuildOptions{
-		Scheme:      ev.FixedScheme(),
-		CPUWork:     sizing.CPUWork,
-		GPUWork:     sizing.GPUWork,
-		AccelWorkGB: sizing.AccelGB,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	sys.Engine.RunFor(ev.TargetDur)
-	rec := sys.Engine.Recorder()
 	avg := rec.AvgPower()
-	pts := rec.Series(sampleEvery)
-	norm := make([]trace.Point, len(pts))
-	for i, p := range pts {
-		norm[i] = trace.Point{T: p.T, P: p.P / avg}
-	}
-	return norm, avg, nil
+	return trace.Normalize(rec.Series(sampleEvery), avg), avg, nil
 }
 
 // Fig2 reproduces Figure 2: the same static trace viewed through
@@ -53,32 +37,27 @@ func (ev *Evaluator) Fig1(combo Combo, sampleEvery sim.Time) ([]trace.Point, flo
 // 1 ms and 10 ms — the behaviour firmware/software controllers cannot
 // see without guardbanding. Returns one normalized series per window.
 func (ev *Evaluator) Fig2(combo Combo, windows []sim.Time, sampleEvery sim.Time) (map[sim.Time][]trace.Point, float64, error) {
-	sizing, err := ev.sizingFor(combo)
+	rec, err := ev.staticRun(combo)
 	if err != nil {
 		return nil, 0, err
 	}
-	sys, err := Build(ev.Cfg, combo, BuildOptions{
-		Scheme:      ev.FixedScheme(),
-		CPUWork:     sizing.CPUWork,
-		GPUWork:     sizing.GPUWork,
-		AccelWorkGB: sizing.AccelGB,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	sys.Engine.RunFor(ev.TargetDur)
-	rec := sys.Engine.Recorder()
 	avg := rec.AvgPower()
 	out := make(map[sim.Time][]trace.Point, len(windows))
 	for _, w := range windows {
-		pts := rec.WindowSeries(w, sampleEvery)
-		norm := make([]trace.Point, len(pts))
-		for i, p := range pts {
-			norm[i] = trace.Point{T: p.T, P: p.P / avg}
-		}
-		out[w] = norm
+		out[w] = trace.Normalize(rec.WindowSeries(w, sampleEvery), avg)
 	}
 	return out, avg, nil
+}
+
+// staticRun is the Fig. 1 / Fig. 2 run: combo on the fixed-voltage
+// rail for exactly TargetDur, idle tails included.
+func (ev *Evaluator) staticRun(combo Combo) (*trace.Recorder, error) {
+	sys, _, err := ev.BuildSized(RunSpec{Combo: combo, Scheme: ev.FixedScheme()}, nil)
+	if err != nil {
+		return nil, err
+	}
+	sys.Engine.RunFor(ev.TargetDur)
+	return sys.Engine.Recorder(), nil
 }
 
 // schemeSuiteSpecs builds the scheme-major spec batch behind the figure

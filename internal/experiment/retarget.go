@@ -29,22 +29,13 @@ type RetargetResult struct {
 // RunRetarget executes the mid-run target switch: the first half tracks
 // the fast-limit target, the second half the slow-limit target.
 func (ev *Evaluator) RunRetarget(combo Combo) (*RetargetResult, error) {
-	hcapp, err := config.SchemeByKind(config.HCAPP)
-	if err != nil {
-		return nil, err
-	}
-	sizing, err := ev.sizingFor(combo)
-	if err != nil {
-		return nil, err
-	}
 	t1 := TargetPowerFor(config.PackagePinLimit())
 	t2 := TargetPowerFor(config.OffPackageVRLimit())
-	sys, err := Build(ev.Cfg, combo, BuildOptions{
-		Scheme:      hcapp,
-		TargetPower: t1,
-		CPUWork:     sizing.CPUWork * 10, // keep the package busy throughout
-		GPUWork:     sizing.GPUWork * 10,
-		AccelWorkGB: sizing.AccelGB * 10,
+	sys, _, err := ev.BuildSized(hcappSpec(combo, config.PackagePinLimit()), func(o *BuildOptions) {
+		// Keep the package busy throughout.
+		o.CPUWork *= 10
+		o.GPUWork *= 10
+		o.AccelWorkGB *= 10
 	})
 	if err != nil {
 		return nil, err

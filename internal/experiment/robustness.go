@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"hcapp/internal/config"
-	"hcapp/internal/sim"
 	"hcapp/internal/vr"
 )
 
@@ -44,51 +43,29 @@ type FaultResult struct {
 // RunFaultInjection runs one combo under HCAPP at the fast limit with
 // each sensor defect and reports the true (fault-free) power metrics.
 func (ev *Evaluator) RunFaultInjection(combo Combo) ([]FaultResult, error) {
-	limit := config.PackagePinLimit()
-	hcapp, err := config.SchemeByKind(config.HCAPP)
-	if err != nil {
-		return nil, err
-	}
-	sizing, err := ev.sizingFor(combo)
-	if err != nil {
-		return nil, err
-	}
-	target := TargetPowerFor(limit)
+	return ev.runFaultInjection(context.Background(), combo)
+}
 
+func (ev *Evaluator) runFaultInjection(ctx context.Context, combo Combo) ([]FaultResult, error) {
+	spec := hcappSpec(combo, config.PackagePinLimit())
 	scenarios := DefaultFaultScenarios()
 	out := make([]FaultResult, len(scenarios))
-	err = ev.runner.Tasks(context.Background(), len(scenarios), func(ctx context.Context, i int) error {
+	err := ev.runner.Tasks(ctx, len(scenarios), func(ctx context.Context, i int) error {
 		sc := scenarios[i]
 		fault := sc.Fault
 		if fault.StuckEnabled && fault.StuckAt == 0 {
 			// "Stuck at target": the worst plausible silent failure —
 			// the controller believes it is exactly on target forever.
-			fault.StuckAt = target
+			fault.StuckAt = TargetPowerFor(spec.Limit)
 		}
-		sys, err := Build(ev.Cfg, combo, BuildOptions{
-			Scheme:      hcapp,
-			TargetPower: target,
-			CPUWork:     sizing.CPUWork,
-			GPUWork:     sizing.GPUWork,
-			AccelWorkGB: sizing.AccelGB,
-		})
+		sys, run, err := ev.BuildSized(spec, nil)
 		if err != nil {
 			return err
 		}
 		sys.Engine.Sensor().InjectFault(fault)
-		sys.Engine.RunWithCancel(sim.Time(float64(ev.TargetDur)*ev.MaxDurFactor), func() bool { return ctx.Err() != nil })
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rec := sys.Engine.Recorder()
-		maxOver := rec.MaxWindowAvg(limit.Window) / limit.Watts
-		out[i] = FaultResult{
-			Scenario:     sc,
-			MaxOverLimit: maxOver,
-			Violated:     maxOver > 1,
-			PPE:          rec.PPE(limit.Watts),
-		}
-		return nil
+		r, err := run(ctx)
+		out[i] = FaultResult{Scenario: sc, MaxOverLimit: r.MaxOverLimit, Violated: r.Violated, PPE: r.PPE}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -114,11 +91,11 @@ func RenderFaultInjection(combo Combo, results []FaultResult) string {
 // so an integrator deploying a real 90 %-efficient regulator must
 // re-derive the power target.
 func (ev *Evaluator) AblationVREfficiency() (*Matrix, error) {
+	return ev.ablationVREfficiency(context.Background())
+}
+
+func (ev *Evaluator) ablationVREfficiency(ctx context.Context) (*Matrix, error) {
 	limit := config.PackagePinLimit()
-	hcapp, err := config.SchemeByKind(config.HCAPP)
-	if err != nil {
-		return nil, err
-	}
 	effs := []struct {
 		name string
 		eff  float64
@@ -134,33 +111,21 @@ func (ev *Evaluator) AblationVREfficiency() (*Matrix, error) {
 	m := NewMatrix("Ablation: global VR conversion efficiency (max power / limit, 20 us limit)", "max/limit", rows, comboNames())
 
 	// Flat (combo, efficiency) cell batch over the runner; cells land by
-	// index and the matrix is filled sequentially afterwards.
+	// index and the matrix is filled sequentially afterwards. Each cell
+	// builds under its own VR efficiency but does the work sized under
+	// the nominal configuration.
 	suite := Suite()
 	cells := make([]float64, len(suite)*len(effs))
-	err = ev.runner.Tasks(context.Background(), len(cells), func(ctx context.Context, i int) error {
-		combo, e := suite[i/len(effs)], effs[i%len(effs)]
-		sizing, err := ev.sizingFor(combo)
-		if err != nil {
-			return err
-		}
+	err := ev.runner.Tasks(ctx, len(cells), func(ctx context.Context, i int) error {
 		cfg := ev.Cfg
-		cfg.GlobalVR.Efficiency = e.eff
-		sys, err := Build(cfg, combo, BuildOptions{
-			Scheme:      hcapp,
-			TargetPower: TargetPowerFor(limit),
-			CPUWork:     sizing.CPUWork,
-			GPUWork:     sizing.GPUWork,
-			AccelWorkGB: sizing.AccelGB,
-		})
+		cfg.GlobalVR.Efficiency = effs[i%len(effs)].eff
+		_, run, err := ev.buildSized(cfg, hcappSpec(suite[i/len(effs)], limit), nil)
 		if err != nil {
 			return err
 		}
-		sys.Engine.RunWithCancel(sim.Time(float64(ev.TargetDur)*ev.MaxDurFactor), func() bool { return ctx.Err() != nil })
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cells[i] = sys.Engine.Recorder().MaxWindowAvg(limit.Window) / limit.Watts
-		return nil
+		r, err := run(ctx)
+		cells[i] = r.MaxOverLimit
+		return err
 	})
 	if err != nil {
 		return nil, err

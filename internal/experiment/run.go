@@ -188,21 +188,21 @@ type Evaluator struct {
 	// FixedV is the fixed-voltage baseline's global voltage.
 	FixedV float64
 	// Observer, when non-nil, receives per-step telemetry from every
-	// uncached Run (hcapp-serve live metrics and trace streaming),
-	// strided steps included (sched.StepObserver). Cached results
-	// replay no steps, so a caller that needs the full stream should
-	// use a fresh evaluator per run, as the job server does.
+	// system BuildSized assembles (hcapp-serve live metrics and trace
+	// streaming), strided steps included (sched.StepObserver). Cached
+	// results replay no steps, so a caller that needs the full stream
+	// should use a fresh evaluator per run, as the job server does.
 	Observer sched.StepObserver
 	// Remote, when non-nil, executes uncached runs on a remote fleet
 	// instead of simulating locally. The local result cache and
 	// single-flight still apply, so a suite driver deduplicates before
 	// anything crosses the network.
 	Remote RemoteRunner
-	// TrackEnergy attaches an energy ledger to every uncached local run
-	// and copies its summary into RunResult.Energy. Folded into the
-	// cache key, so toggling it never serves a result missing (or
-	// needlessly carrying) energy accounting. Fleet workers always track
-	// energy — the ledger is passive, so the simulated metrics are
+	// TrackEnergy attaches an energy ledger to every system BuildSized
+	// assembles and copies its summary into RunResult.Energy. Folded
+	// into the cache key, so toggling it never serves a result missing
+	// (or needlessly carrying) energy accounting. Fleet workers always
+	// track energy — the ledger is passive, so the simulated metrics are
 	// identical either way.
 	TrackEnergy bool
 
@@ -416,13 +416,45 @@ func (ev *Evaluator) runUncached(ctx context.Context, spec RunSpec, key string) 
 		res.Spec = spec
 		return res, nil
 	}
-	sizing, err := ev.sizingFor(spec.Combo)
+	if ev.runProbe != nil {
+		ev.runProbe(key)
+	}
+	return ev.runVariant(ctx, spec, nil)
+}
+
+// runVariant builds spec through BuildSized with mutate applied last
+// and runs it to the horizon under ctx (uncached: the mutation is not
+// part of any cache key).
+func (ev *Evaluator) runVariant(ctx context.Context, spec RunSpec, mutate func(*BuildOptions)) (RunResult, error) {
+	_, run, err := ev.BuildSized(spec, mutate)
 	if err != nil {
 		return RunResult{}, err
 	}
+	return run(ctx)
+}
+
+// BuildSized assembles spec's system the way every evaluator run is
+// built: work pools sized against the fixed-voltage baseline, the
+// supervisor spec.Policy names, PSPEC for spec.Limit unless the scheme
+// is fixed-voltage, the evaluator's Observer and TrackEnergy, and then
+// mutate (when non-nil) last. run takes the system to the evaluator's
+// horizon under ctx and returns its metrics; fixed-length traces drive
+// sys.Engine directly instead.
+func (ev *Evaluator) BuildSized(spec RunSpec, mutate func(*BuildOptions)) (sys *System, run func(context.Context) (RunResult, error), err error) {
+	return ev.buildSized(ev.Cfg, spec, mutate)
+}
+
+// buildSized is BuildSized under an explicit system configuration. The
+// work pools are still sized under ev.Cfg, so a configuration variant
+// does the nominal baseline's work.
+func (ev *Evaluator) buildSized(cfg config.SystemConfig, spec RunSpec, mutate func(*BuildOptions)) (*System, func(context.Context) (RunResult, error), error) {
+	sizing, err := ev.sizingFor(spec.Combo)
+	if err != nil {
+		return nil, nil, err
+	}
 	sup, err := buildSupervisor(spec.Policy)
 	if err != nil {
-		return RunResult{}, err
+		return nil, nil, err
 	}
 	opts := BuildOptions{
 		Scheme:           spec.Scheme,
@@ -438,20 +470,29 @@ func (ev *Evaluator) runUncached(ctx context.Context, spec RunSpec, key string) 
 	if spec.Scheme.Kind != config.FixedVoltage {
 		opts.TargetPower = TargetPowerFor(spec.Limit)
 	}
-	sys, err := Build(ev.Cfg, spec.Combo, opts)
+	if mutate != nil {
+		mutate(&opts)
+	}
+	sys, err := Build(cfg, spec.Combo, opts)
 	if err != nil {
+		return nil, nil, err
+	}
+	return sys, func(ctx context.Context) (RunResult, error) { return ev.runToHorizon(ctx, sys, spec) }, nil
+}
+
+// runToHorizon runs sys until every component finishes or the horizon,
+// TargetDur × MaxDurFactor, elapses. A cancelled ctx stops the engine
+// at its next poll (an already-cancelled one before the first step) and
+// returns ctx.Err() instead of a result.
+func (ev *Evaluator) runToHorizon(ctx context.Context, sys *System, spec RunSpec) (RunResult, error) {
+	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
 	}
-
-	maxDur := sim.Time(float64(ev.TargetDur) * ev.MaxDurFactor)
 	var cancelled func() bool
 	if ctx.Done() != nil {
 		cancelled = func() bool { return ctx.Err() != nil }
 	}
-	if ev.runProbe != nil {
-		ev.runProbe(key)
-	}
-	res := sys.Engine.RunWithCancel(maxDur, cancelled)
+	res := sys.Engine.RunWithCancel(sim.Time(float64(ev.TargetDur)*ev.MaxDurFactor), cancelled)
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
 	}
@@ -460,6 +501,15 @@ func (ev *Evaluator) runUncached(ctx context.Context, spec RunSpec, key string) 
 		out.Energy = sys.Energy.Summary()
 	}
 	return out, nil
+}
+
+// hcappSpec is the HCAPP run of combo under limit.
+func hcappSpec(combo Combo, limit config.PowerLimit) RunSpec {
+	hcapp, err := config.SchemeByKind(config.HCAPP)
+	if err != nil {
+		panic(err) // HCAPP is one of config.StandardSchemes
+	}
+	return RunSpec{Combo: combo, Scheme: hcapp, Limit: limit}
 }
 
 // RunSpecs executes a batch of specs — across the evaluator's runner

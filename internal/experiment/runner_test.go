@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hcapp/internal/config"
+	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 )
 
@@ -340,5 +342,102 @@ func TestRunnerParallelSpeedup(t *testing.T) {
 	t.Logf("sequential %v, 4 workers %v, speedup %.2fx", seq, par, seq.Seconds()/par.Seconds())
 	if par.Seconds() > seq.Seconds()/2 {
 		t.Errorf("4-worker batch took %v vs %v sequential — less than the 2x contract", par, seq)
+	}
+}
+
+// cancellingCounter is a step observer that counts engine steps and
+// the longest stride, and, when cancel is set, calls it on the first
+// step it sees.
+type cancellingCounter struct {
+	steps, maxStride atomic.Int64
+	cancel           context.CancelFunc
+}
+
+func (c *cancellingCounter) ObserveSteps(_, _ sim.Time, n int64, _ float64, _ []sched.DomainSample) {
+	if c.steps.Add(n) == n && c.cancel != nil {
+		c.cancel()
+	}
+	for m := c.maxStride.Load(); n > m && !c.maxStride.CompareAndSwap(m, n); m = c.maxStride.Load() {
+	}
+}
+
+// TestBespokeDriversHonourCancel: every driver path that builds its own
+// system instead of going through RunContext stops on a cancelled
+// context. It returns context.Canceled, and the engine stops within
+// one cancel-poll interval (4096 steps) instead of running the whole
+// horizon: a pre-cancelled context steps nothing, and a cancel on the
+// first step lets at most one poll interval run (plus the rest of a
+// stride that crosses the poll, since the engine counts a stride
+// whole). One runner worker keeps the multi-run drivers to one engine
+// in flight.
+func TestBespokeDriversHonourCancel(t *testing.T) {
+	const cancelPollSteps = 4096
+	combo := mustCombo2(t, "Mid-Mid")
+	limit := config.PackagePinLimit()
+	paths := []struct {
+		name string
+		run  func(ctx context.Context, ev *Evaluator) error
+	}{
+		{"variant", func(ctx context.Context, ev *Evaluator) error {
+			_, err := ev.runVariant(ctx, hcappSpec(combo, limit), func(o *BuildOptions) { o.VoltageMargin = 0.05 })
+			return err
+		}},
+		{"policy", func(ctx context.Context, ev *Evaluator) error {
+			_, err := ev.runPolicy(ctx, combo, limit, "critical-path", DefaultWorkSkew)
+			return err
+		}},
+		{"centralized", func(ctx context.Context, ev *Evaluator) error {
+			_, err := ev.runCentralized(ctx, combo, limit, CentralizedOptions{})
+			return err
+		}},
+		{"thermal", func(ctx context.Context, ev *Evaluator) error {
+			_, _, _, err := ev.thermalCheck(ctx)
+			return err
+		}},
+		{"fault-injection", func(ctx context.Context, ev *Evaluator) error {
+			_, err := ev.runFaultInjection(ctx, combo)
+			return err
+		}},
+		{"vreff", func(ctx context.Context, ev *Evaluator) error {
+			_, err := ev.ablationVREfficiency(ctx)
+			return err
+		}},
+	}
+	cancels := []struct {
+		name string
+		pre  bool // cancel before the run starts
+		poll bool // allow one poll interval after the cancel
+	}{
+		{"pre-cancelled", true, false},
+		{"mid-run", false, true},
+	}
+	for _, p := range paths {
+		for _, c := range cancels {
+			t.Run(p.name+"/"+c.name, func(t *testing.T) {
+				ev := shortEvaluator().WithRunner(NewRunner(1))
+				if steps := int64(ev.TargetDur / ev.Cfg.TimeStep); steps <= 2*cancelPollSteps {
+					t.Fatalf("TargetDur is only %d steps; the test needs a horizon past two poll intervals", steps)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				counter := &cancellingCounter{}
+				if c.pre {
+					cancel()
+				} else {
+					counter.cancel = cancel
+				}
+				ev.Observer = counter
+				if err := p.run(ctx, ev); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s run returned %v, want context.Canceled", c.name, err)
+				}
+				var maxSteps int64
+				if c.poll {
+					maxSteps = cancelPollSteps + max(counter.maxStride.Load()-1, 0)
+				}
+				if n := counter.steps.Load(); n > maxSteps {
+					t.Errorf("engine ran %d steps, want at most %d", n, maxSteps)
+				}
+			})
+		}
 	}
 }

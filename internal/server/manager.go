@@ -120,7 +120,8 @@ func (mgr *Manager) Submit(req JobRequest) (*Job, error) {
 		return nil, ErrTenantThrottled
 	}
 
-	stepsPerSample := int(mgr.cfg.TraceSampleEvery / mgr.cfg.TimeStep())
+	// Served jobs run on config.Default(), so its step sizes the buckets.
+	stepsPerSample := int(mgr.cfg.TraceSampleEvery / config.Default().TimeStep)
 	j := &Job{
 		id:      newJobID(),
 		req:     req,
@@ -279,9 +280,7 @@ func (mgr *Manager) runJob(j *Job) {
 		mgr.metrics.newJobObserver(j, info)
 		res, err = mgr.delegate(ctx, j)
 		if err == nil {
-			if step := mgr.cfg.TimeStep(); step > 0 {
-				j.trace.setProgress(res.Duration, int64(res.Duration/step))
-			}
+			j.trace.setProgress(res.Duration, int64(res.Duration/config.Default().TimeStep))
 		}
 	} else {
 		// One evaluator per job: evaluators are cheap, carry the run cache
@@ -459,13 +458,4 @@ func (mgr *Manager) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// TimeStep exposes the engine timestep the server sizes trace buckets
-// with (the default system config's step).
-func (c Config) TimeStep() sim.Time {
-	if c.SimTimeStep > 0 {
-		return c.SimTimeStep
-	}
-	return 100 * sim.Nanosecond
 }

@@ -40,9 +40,6 @@ type Config struct {
 	// Tracer overrides the span store (tests); nil builds one sized by
 	// MaxTraces and wired to the hcapp_stage_duration_seconds histogram.
 	Tracer *tracing.Tracer
-	// SimTimeStep overrides the engine timestep used to size trace
-	// buckets; leave zero for the default system's 100 ns.
-	SimTimeStep sim.Time
 	// JobTimeout bounds one job's wall-clock simulation time. A job that
 	// exceeds it is cancelled cooperatively (the engine polls every few
 	// thousand steps) and fails with a timeout reason. Zero disables the

@@ -241,6 +241,15 @@ func (r *Recorder) Series(sampleEvery sim.Time) []Point {
 	return out
 }
 
+// Normalize divides every sample of pts by ref in place and returns
+// pts — the "normalized to average power" view of Figs. 1 and 2.
+func Normalize(pts []Point, ref float64) []Point {
+	for i := range pts {
+		pts[i].P /= ref
+	}
+	return pts
+}
+
 // WindowSeries returns the trailing moving average over window, sampled
 // every sampleEvery — the Fig. 2 view ("the power draw over different
 // time windows").

@@ -80,7 +80,7 @@ echo "report passes and is identical at 1 and 4 workers"
 # byte-identical output from it and from the default build. The
 # registry runs at a 2 ms horizon because the "checks" shape suite
 # needs burst statistics a 1 ms run cannot provide.
-echo "== fixed-step reference diff (full registry + seeds) =="
+echo "== fixed-step reference diff (full registry, seeds, trace and tune) =="
 go build -tags hcapp_fixedstep -o "$tmp/hcappsim-fixed" ./cmd/hcappsim
 "$tmp/hcappsim-fixed" -experiment all -dur 2 -workers 1 >"$tmp/all-fixed.out"
 "$tmp/hcappsim" -experiment all -dur 2 -workers 1 >"$tmp/all-strided.out"
@@ -88,7 +88,16 @@ diff -u "$tmp/all-fixed.out" "$tmp/all-strided.out"
 "$tmp/hcappsim-fixed" -experiment seeds -dur 1 -workers 1 >"$tmp/seeds-fixed.out"
 "$tmp/hcappsim" -experiment seeds -dur 1 -workers 1 >"$tmp/seeds-strided.out"
 diff -u "$tmp/seeds-fixed.out" "$tmp/seeds-strided.out"
-echo "strided output identical to the fixed-step build across every experiment id"
+# The trace and tune subcommands drive engines directly rather than
+# through the experiment registry, so they are diffed on their own. Fig. 2
+# runs 12 ms: its 10 ms window emits no rows in a shorter trace.
+for args in "trace -fig 1 -dur 1" "trace -fig 2 -dur 12" "trace -fig 3 -scheme hcapp -dur 1" \
+	"tune -mode probe -dur 1" "tune -mode pid -dur 1"; do
+	"$tmp/hcappsim-fixed" $args >"$tmp/sub-fixed.out"
+	"$tmp/hcappsim" $args >"$tmp/sub-strided.out"
+	diff -u "$tmp/sub-fixed.out" "$tmp/sub-strided.out"
+done
+echo "strided output identical to the fixed-step build across every experiment id and the trace/tune subcommands"
 
 # Fleet determinism: the same suite executed on a coordinator with two
 # workers must diff clean against the sequential standalone output, with
