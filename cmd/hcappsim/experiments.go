@@ -126,7 +126,7 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 			fmt.Printf("%12s %12.3f\n", sim.FormatTime(p.T), p.P)
 		}
 	case "fig2":
-		windows := []sim.Time{20 * sim.Microsecond, 1 * sim.Millisecond, 10 * sim.Millisecond}
+		windows := fig2Windows
 		series, avg, err := ev.Fig2(combo, windows, 200*sim.Microsecond)
 		if err != nil {
 			return err

@@ -166,8 +166,11 @@ func check(o *options, c *command, set map[string]bool) error {
 				err = fmt.Errorf("-msg-ns must be > 0, got %d", o.msgNS)
 			}
 		case "fig":
+			widest := fig2Windows[len(fig2Windows)-1]
 			if o.fig < 1 || o.fig > 3 {
 				err = fmt.Errorf("unknown -fig %d (valid: 1 2 3)", o.fig)
+			} else if minMs := float64(widest) / float64(sim.Millisecond); o.fig == 2 && o.dur < minMs {
+				err = fmt.Errorf("-fig 2 needs -dur >= %g ms: its widest window is %s, and a shorter trace completes no row", minMs, sim.FormatTime(widest))
 			}
 		case "scheme":
 			if _, e := config.SchemeByKind(config.SchemeKind(o.scheme)); e != nil {

@@ -108,6 +108,7 @@ func TestParseDispatch(t *testing.T) {
 		{[]string{"-experiment", "scaling", "-counts", "1,2", "-tree", "-msg-ns", "80"}, "", 16},
 		{[]string{"trace"}, "trace", 16},
 		{[]string{"trace", "-fig", "3", "-scheme", "hcapp", "-dur", "1"}, "trace", 1},
+		{[]string{"trace", "-fig", "2", "-dur", "10"}, "trace", 10},
 		{[]string{"tune"}, "tune", 12},
 		{[]string{"tune", "-mode", "pid"}, "tune", 12},
 		{[]string{"report", "-dur", "2", "-workers", "1"}, "report", 2},
@@ -156,6 +157,8 @@ func TestParseRejects(t *testing.T) {
 		{[]string{"bogus"}, "valid: trace tune report"},
 		{[]string{"tune", "-mode", "bogus"}, "valid: probe | fixsweep | target | pid"},
 		{[]string{"trace", "-fig", "4"}, "valid: 1 2 3"},
+		{[]string{"trace", "-fig", "2", "-dur", "9.9"}, "-fig 2 needs -dur >= 10 ms"},
+		{[]string{"trace", "-fig", "2", "-dur", "1"}, "-fig 2 needs -dur >= 10 ms"},
 		{[]string{"trace", "-scheme", "bogus"}, "valid: fixed-voltage | hcapp | rapl-like | sw-like"},
 		// A subcommand rejects the flags it cannot honour.
 		{[]string{"trace", "-coordinator", "http://127.0.0.1:1"}, "flag provided but not defined: -coordinator"},

@@ -11,6 +11,10 @@ import (
 	"hcapp/internal/trace"
 )
 
+// fig2Windows are the Figure 2 averaging windows, narrowest first. A
+// trace shorter than the widest one completes no row: check rejects it.
+var fig2Windows = []sim.Time{20 * sim.Microsecond, 1 * sim.Millisecond, 10 * sim.Millisecond}
+
 // runTrace is "hcappsim trace": it dumps power traces as CSV — the
 // Figure 1 static trace (normalized to average power) and the Figure 2
 // multi-window view, plus per-component traces and controlled-run
@@ -37,7 +41,7 @@ func runTrace(o *options) error {
 			fmt.Printf("%.1f,%.4f\n", float64(p.T)/float64(sim.Microsecond), p.P)
 		}
 	case 2:
-		windows := []sim.Time{20 * sim.Microsecond, 1 * sim.Millisecond, 10 * sim.Millisecond}
+		windows := fig2Windows
 		series, avg, err := ev.Fig2(combo, windows, sample)
 		if err != nil {
 			return err

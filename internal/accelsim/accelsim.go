@@ -34,7 +34,8 @@ type Accel struct {
 	doneWork  float64
 	doneAt    sim.Time
 	lastPower float64
-	lastAct   float64 // 1 while hashing, 0 power-gated (energy meter)
+	lastAct   float64    // 1 while hashing, 0 power-gated (energy meter)
+	meter     [2]float64 // lastAct and lastPower as UnitSamples' slices
 }
 
 // Options selects the accelerator's work pool and local controller.
@@ -113,14 +114,12 @@ func (a *Accel) DoneWork() float64 { return a.doneWork }
 // LastPower returns the power drawn on the most recent step.
 func (a *Accel) LastPower() float64 { return a.lastPower }
 
-// Units implements energy.UnitMeter: the array is metered as one unit.
-func (a *Accel) Units() int { return 1 }
-
-// ReadUnitSamples implements energy.UnitMeter. The accelerator's whole
-// draw is directly measurable, so attribution against it is exact.
-func (a *Accel) ReadUnitSamples(act, watts []float64) {
-	act[0] = a.lastAct
-	watts[0] = a.lastPower
+// UnitSamples implements energy.UnitMeter: the array is metered as one
+// unit. The accelerator's whole draw is directly measurable, so
+// attribution against it is exact.
+func (a *Accel) UnitSamples() (act, watts []float64, actSum float64) {
+	a.meter = [2]float64{a.lastAct, a.lastPower}
+	return a.meter[:1], a.meter[1:], a.lastAct
 }
 
 // ThroughputAt exposes the LUT (GB/s at voltage v) for sizing work pools.
@@ -214,9 +213,11 @@ func (a *Accel) StepN(now sim.Time, dt sim.Time, vdd float64, n int64) {
 	}
 	if a.totalWork > 0 {
 		work := a.tputLUT.At(v) * sim.Seconds(dt)
+		done := a.doneWork
 		for i := int64(0); i < n; i++ {
-			a.doneWork += work
+			done += work
 		}
+		a.doneWork = done
 	}
 }
 

@@ -14,6 +14,7 @@ package chiplet
 
 import (
 	"fmt"
+	"math"
 
 	"hcapp/internal/core"
 	"hcapp/internal/power"
@@ -75,11 +76,6 @@ type unit struct {
 	nextEpoch sim.Time
 	lastIPC   float64
 	lastAct   float64
-	// Per-step meter samples (activity and power drawn on the most
-	// recent step), recorded only when the unit meter is enabled — the
-	// energy ledger's ground-truth feed.
-	stepAct   float64
-	stepPower float64
 }
 
 // Chiplet is a multi-unit component implementing sim.Component.
@@ -90,7 +86,35 @@ type Chiplet struct {
 	doneAt    sim.Time // completion timestamp; -1 while running
 	lastPower float64
 	therm     *thermal.Node // nil when unsensed
-	meterOn   bool
+
+	// Per-unit meter samples (activity and power drawn on the most
+	// recent step) and their activity sum, recorded only when the unit
+	// meter is on — the energy ledger's ground-truth feed.
+	meterOn     bool
+	meterAct    []float64
+	meterPower  []float64
+	meterActSum float64
+
+	// The per-voltage table behind at: the model and VoltageMargin are
+	// fixed at New, so an entry is exact for as long as the chiplet
+	// lives — Reset leaves it alone.
+	norm  float64 // cfg.Model.DVFS.Norm()
+	vtab  [vtabSize]vpoint
+	vlen  int // filled entries
+	vnext int // next entry to overwrite once the table is full
+	vlast int // entry of the latest hit or fill, tried first
+}
+
+// vtabSize bounds the per-voltage table. Units take their local voltage
+// from one rail through a ratio that local controllers move in 0.05
+// steps over [0.75, 1], so a step sees a handful of distinct voltages.
+const vtabSize = 8
+
+// vpoint is one exact evaluation: the clock frequency and leakage at the
+// local voltage whose bits are key.
+type vpoint struct {
+	key     uint64
+	f, leak float64
 }
 
 // New builds a chiplet. Local controllers may be nil (no level-3
@@ -118,7 +142,13 @@ func New(cfg Config) (*Chiplet, error) {
 	if cfg.ThermalThrottleRatio < 0 || cfg.ThermalThrottleRatio > 1 {
 		return nil, fmt.Errorf("chiplet: %q throttle ratio %g outside (0,1]", cfg.Name, cfg.ThermalThrottleRatio)
 	}
-	c := &Chiplet{cfg: cfg, doneAt: -1}
+	c := &Chiplet{
+		cfg:        cfg,
+		doneAt:     -1,
+		norm:       cfg.Model.DVFS.Norm(),
+		meterAct:   make([]float64, len(cfg.Units)),
+		meterPower: make([]float64, len(cfg.Units)),
+	}
 	if cfg.Thermal != nil {
 		node, err := thermal.NewNode(*cfg.Thermal)
 		if err != nil {
@@ -204,16 +234,14 @@ func (c *Chiplet) LastPower() float64 { return c.lastPower }
 // samples feed energy.UnitMeter, which the chiplet then satisfies.
 func (c *Chiplet) EnableUnitMeter() { c.meterOn = true }
 
-// ReadUnitSamples copies each unit's most recent step activity and power
-// into the destination slices (len >= Units()). Zeros until the meter is
-// enabled and a step has run. Unit power excludes the shared uncore,
+// UnitSamples returns each unit's most recent step activity and power,
+// and the activity sum Step formed from them. Zeros until the meter is
+// enabled and a step has run. The slices are the chiplet's own: the
+// next step overwrites them. Unit power excludes the shared uncore,
 // which belongs to no single unit — that gap is exactly the attribution
 // error the energy subsystem measures.
-func (c *Chiplet) ReadUnitSamples(act, watts []float64) {
-	for i, u := range c.units {
-		act[i] = u.stepAct
-		watts[i] = u.stepPower
-	}
+func (c *Chiplet) UnitSamples() (act, watts []float64, actSum float64) {
+	return c.meterAct, c.meterPower, c.meterActSum
 }
 
 // Step implements sim.Component.
@@ -231,7 +259,7 @@ func (c *Chiplet) Step(now sim.Time, dt sim.Time, vdd float64) sim.StepResult {
 	totalPower := 0.0
 	totalInstr := 0.0
 	actSum := 0.0
-	for _, u := range c.units {
+	for i, u := range c.units {
 		ratio := u.ratio
 		if tripped && ratio > c.cfg.ThermalThrottleRatio {
 			// Thermal protection overrides the local controller
@@ -240,9 +268,7 @@ func (c *Chiplet) Step(now sim.Time, dt sim.Time, vdd float64) sim.StepResult {
 			ratio = c.cfg.ThermalThrottleRatio
 		}
 		vlocal := vdd * ratio
-		// Adaptive clocking follows vlocal exactly; a guardbanded
-		// design clocks as if the rail were VoltageMargin lower (§3.5).
-		f := m.DVFS.Freq(vlocal - c.cfg.VoltageMargin)
+		f, leak := c.at(vlocal)
 
 		var act float64
 		if finished {
@@ -264,12 +290,12 @@ func (c *Chiplet) Step(now sim.Time, dt sim.Time, vdd float64) sim.StepResult {
 			}
 		}
 
-		up := m.Dynamic(vlocal, f, act) + m.Leakage(vlocal)
+		up := m.Dynamic(vlocal, f, act) + leak
 		totalPower += up
 		actSum += act
 		if c.meterOn {
-			u.stepAct = act
-			u.stepPower = up
+			c.meterAct[i] = act
+			c.meterPower[i] = up
 		}
 
 		// Local epoch: feed measured metrics to the level-3 controller.
@@ -302,6 +328,9 @@ func (c *Chiplet) Step(now sim.Time, dt sim.Time, vdd float64) sim.StepResult {
 	}
 	meanAct := actSum / float64(len(c.units))
 	totalPower += (c.cfg.UncoreLeak + c.cfg.UncoreDyn*meanAct) * vn * vn * vn
+	if c.meterOn {
+		c.meterActSum = actSum
+	}
 
 	if !finished {
 		c.doneWork += totalInstr
@@ -342,7 +371,7 @@ func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 	totalPower := 0.0
 	totalInstr := 0.0
 	actSum := 0.0
-	for _, u := range c.units {
+	for i, u := range c.units {
 		if u.spec.Local != nil {
 			if k := sim.StepsBefore(now, dt, u.nextEpoch); k < n {
 				n = k
@@ -352,7 +381,7 @@ func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 			}
 		}
 		vlocal := vdd * u.ratio
-		f := m.DVFS.Freq(vlocal - c.cfg.VoltageMargin)
+		f, leak := c.at(vlocal)
 		var act float64
 		if finished {
 			act = m.IdleAct
@@ -367,10 +396,10 @@ func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 			totalInstr += instr
 			act = a
 		}
-		up := m.Dynamic(vlocal, f, act) + m.Leakage(vlocal)
+		up := m.Dynamic(vlocal, f, act) + leak
 		// With the unit meter on, the per-unit samples an observer reads
 		// after a stride must be the last step's too.
-		if c.meterOn && (act != u.stepAct || up != u.stepPower) {
+		if c.meterOn && (act != c.meterAct[i] || up != c.meterPower[i]) {
 			return 0
 		}
 		totalPower += up
@@ -400,33 +429,114 @@ func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 // StepN implements sim.BulkStepper: replays n steady steps verified by
 // SteadyFor. Every per-step accumulation is repeated n times with the
 // identical floating-point operation Step performs, so the state after
-// the replay is bitwise what n real steps would have left.
+// the replay is bitwise what n real steps would have left. The chains
+// run side by side in loops over locals, so the replay costs about one
+// dependent add per step per loop rather than one per chain: a unit
+// with a local controller replays its cursor's remaining work and its
+// three epoch accumulators in one loop, and units without one replay
+// their remaining work four units to a loop.
 func (c *Chiplet) StepN(now sim.Time, dt sim.Time, vdd float64, n int64) {
 	if c.Done() {
 		return
 	}
 	dtSec := sim.Seconds(dt)
-	m := &c.cfg.Model
+	fmax := c.cfg.Model.DVFS.FMax
 	totalInstr := 0.0
+	var batch [4]*unit
+	var dec [4]float64
+	k := 0
 	for _, u := range c.units {
-		vlocal := vdd * u.ratio
-		f := m.DVFS.Freq(vlocal - c.cfg.VoltageMargin)
-		_, instr, act := u.cursor.SteadySteps(dt, f, m.DVFS.FMax)
-		u.cursor.AdvanceSteady(n, dt, f, m.DVFS.FMax)
+		f, _ := c.at(vdd * u.ratio)
+		// instr is zero when the unit cannot clock or its phase stalls;
+		// Step then leaves the cursor alone, and subtracting zero leaves
+		// every float bitwise as it was.
+		_, instr, act := u.cursor.SteadySteps(dt, f, fmax)
 		totalInstr += instr
-		if u.spec.Local != nil {
-			cycles := f * dtSec
-			for i := int64(0); i < n; i++ {
-				u.accInstr += instr
-				u.accCycles += cycles
-				u.accAct += act
+		if u.spec.Local == nil {
+			batch[k], dec[k] = u, instr
+			if k++; k == len(batch) {
+				replayRemaining(batch[:], dec, n)
+				k = 0
 			}
-			u.accSteps += n
+			continue
+		}
+		rem := u.cursor.Remaining()
+		cycles := f * dtSec
+		ai, ac, aa := u.accInstr, u.accCycles, u.accAct
+		for i := int64(0); i < n; i++ {
+			rem -= instr
+			ai += instr
+			ac += cycles
+			aa += act
+		}
+		u.cursor.SetRemaining(rem)
+		u.accInstr, u.accCycles, u.accAct = ai, ac, aa
+		u.accSteps += n
+	}
+	replayRemaining(batch[:k], dec, n)
+	done := c.doneWork
+	for i := int64(0); i < n; i++ {
+		done += totalInstr
+	}
+	c.doneWork = done
+}
+
+// replayRemaining subtracts dec[i] n times from the remaining work of
+// units[i]'s cursor, for up to four units, the chains side by side in
+// one loop. Lanes past len(units) compute on leftovers and are dropped.
+func replayRemaining(units []*unit, dec [4]float64, n int64) {
+	var r [4]float64
+	for i, u := range units {
+		r[i] = u.cursor.Remaining()
+	}
+	r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
+	d0, d1, d2, d3 := dec[0], dec[1], dec[2], dec[3]
+	for i := int64(0); i < n; i++ {
+		r0 -= d0
+		r1 -= d1
+		r2 -= d2
+		r3 -= d3
+	}
+	r = [4]float64{r0, r1, r2, r3}
+	for i, u := range units {
+		u.cursor.SetRemaining(r[i])
+	}
+}
+
+// at returns the clock frequency and the leakage at local voltage v:
+// exactly m.DVFS.Freq(v − VoltageMargin) and m.Leakage(v), evaluated
+// once per distinct v. Adaptive clocking follows v exactly; a
+// guardbanded design clocks as if the rail were VoltageMargin lower
+// (§3.5). The table matches keys bit for bit, so a hit returns the very
+// floats a fresh evaluation would; a NaN voltage is never stored, so it
+// never hits and is evaluated as it comes.
+func (c *Chiplet) at(v float64) (f, leak float64) {
+	key := math.Float64bits(v)
+	if p := &c.vtab[c.vlast]; p.key == key && c.vlen > 0 {
+		return p.f, p.leak
+	}
+	for i := 0; i < c.vlen; i++ {
+		if p := &c.vtab[i]; p.key == key {
+			c.vlast = i
+			return p.f, p.leak
 		}
 	}
-	for i := int64(0); i < n; i++ {
-		c.doneWork += totalInstr
+	m := &c.cfg.Model
+	f = m.DVFS.FreqNorm(v-c.cfg.VoltageMargin, c.norm)
+	leak = m.Leakage(v)
+	if v != v {
+		return f, leak
 	}
+	i := c.vlen
+	if i < vtabSize {
+		c.vlen++
+	} else {
+		i = c.vnext
+		c.vnext = (c.vnext + 1) % vtabSize
+	}
+	c.vtab[i] = vpoint{key: key, f: f, leak: leak}
+	c.vlast = i
+	return f, leak
 }
 
 // Temp returns the junction temperature, or ambient-less 0 when the
@@ -459,6 +569,9 @@ func (c *Chiplet) Reset() {
 	if c.therm != nil {
 		c.therm.Reset()
 	}
+	clear(c.meterAct)
+	clear(c.meterPower)
+	c.meterActSum = 0
 	for _, u := range c.units {
 		u.cursor.Reset(u.spec.StartPhase)
 		if u.spec.Local != nil {
@@ -470,8 +583,6 @@ func (c *Chiplet) Reset() {
 		u.nextEpoch = 0
 		u.lastIPC = 0
 		u.lastAct = 0
-		u.stepAct = 0
-		u.stepPower = 0
 	}
 }
 

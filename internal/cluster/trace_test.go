@@ -222,8 +222,9 @@ func TestChaosTracePropagation(t *testing.T) {
 	tr := tracing.New(tracing.Config{})
 	c := NewCoordinator(CoordinatorConfig{
 		// Hedge far inside a simulation's wall time so sibling attempts
-		// are guaranteed, not just possible.
-		HedgeAfter:      5 * time.Millisecond,
+		// are guaranteed, not just possible: a 0.5 ms item runs about
+		// 6 ms of wall time on a two-core host.
+		HedgeAfter:      1 * time.Millisecond,
 		BreakerCooldown: 50 * time.Millisecond,
 		Client:          &http.Client{Transport: inj.RoundTripper(nil)},
 		Logf:            t.Logf,

@@ -196,9 +196,11 @@ func (g *Global) NextFire() sim.Time { return g.nextFire }
 // per-step accumulation bitwise — a closed-form n·sensed would round
 // differently.
 func (g *Global) AccumulateN(sensedPower float64, n int64) {
+	accum := g.accum
 	for i := int64(0); i < n; i++ {
-		g.accum += sensedPower
+		accum += sensedPower
 	}
+	g.accum = accum
 	g.samples += n
 }
 

@@ -26,14 +26,16 @@ import (
 )
 
 // UnitMeter is the read side of a multi-unit component's per-step
-// sampling: one bulk read per domain per step, not a call per unit, so
-// the observer path stays under the <5% overhead budget.
-// chiplet.Chiplet (after EnableUnitMeter) and accelsim.Accel satisfy it.
+// sampling: one call per domain per step, not a call per unit, and no
+// copy. chiplet.Chiplet (after EnableUnitMeter) and accelsim.Accel
+// satisfy it.
 type UnitMeter interface {
-	Units() int
-	// ReadUnitSamples copies each unit's most recent step activity and
-	// power into act and watts (len >= Units()).
-	ReadUnitSamples(act, watts []float64)
+	// UnitSamples returns each unit's activity and power on the most
+	// recent step, one entry per unit, and actSum, their activities
+	// summed in unit order from 0 — the sum the component formed while
+	// stepping. The slices are the meter's own and change on its next
+	// step: read them, never write or keep them.
+	UnitSamples() (act, watts []float64, actSum float64)
 }
 
 // SlotConfig binds one engine slot (in sched slot order) to its meter
@@ -56,9 +58,10 @@ type slotState struct {
 	names   []string  // per-unit component labels, fixed at construction
 	att     []float64 // attributed joules (share-based split of domain energy)
 	gt      []float64 // ground-truth joules (∫ true unit power)
-	actBuf  []float64
-	pwrBuf  []float64
-	domainJ float64 // ∫ domain power — includes uncore the units can't see
+	domainJ float64   // ∫ domain power — includes uncore the units can't see
+	// The meter's samples for the steps being observed.
+	act, pwr []float64
+	actSum   float64
 }
 
 // Ledger integrates attributed and ground-truth energy per unit. It
@@ -78,7 +81,8 @@ func NewLedger(slots []SlotConfig) *Ledger {
 	for i, sc := range slots {
 		n := 1
 		if sc.Meter != nil {
-			n = sc.Meter.Units()
+			act, _, _ := sc.Meter.UnitSamples()
+			n = len(act)
 		}
 		st := &l.slots[i]
 		st.cfg = sc
@@ -95,8 +99,6 @@ func NewLedger(slots []SlotConfig) *Ledger {
 		}
 		st.att = make([]float64, n)
 		st.gt = make([]float64, n)
-		st.actBuf = make([]float64, n)
-		st.pwrBuf = make([]float64, n)
 	}
 	return l
 }
@@ -113,7 +115,7 @@ func (l *Ledger) ObserveSteps(_, dt sim.Time, n int64, totalPower float64, domai
 	for i := range domains {
 		st := &l.slots[i]
 		if st.cfg.Meter != nil {
-			st.cfg.Meter.ReadUnitSamples(st.actBuf, st.pwrBuf)
+			st.act, st.pwr, st.actSum = st.cfg.Meter.UnitSamples()
 		}
 	}
 	sec := sim.Seconds(dt)
@@ -124,7 +126,7 @@ func (l *Ledger) ObserveSteps(_, dt sim.Time, n int64, totalPower float64, domai
 }
 
 // integrate folds one step of sec seconds into the accumulators, with
-// unit samples already read into each slot's buffers.
+// each slot's meter samples already read.
 func (l *Ledger) integrate(sec, totalPower float64, domains []sched.DomainSample) {
 	l.totalJ += totalPower * sec
 	for i := range domains {
@@ -136,35 +138,35 @@ func (l *Ledger) integrate(sec, totalPower float64, domains []sched.DomainSample
 			st.gt[0] += ej
 			continue
 		}
-		act, pwr := st.actBuf, st.pwrBuf
-		actSum := 0.0
-		for u := range act {
-			actSum += act[u]
-			st.gt[u] += pwr[u] * sec
-		}
 		// Split the step's domain energy by activity share (equal split
 		// when everything is idle), assigning the remainder to the last
 		// unit: each step's shares then sum to ej exactly, so the
 		// accumulated per-domain mismatch (Σ attributed vs ∫ domain
 		// power) stays at summation-rounding level instead of growing
-		// with the share arithmetic.
+		// with the share arithmetic. Each unit's ground truth rides in
+		// the same loop.
+		act := st.act
+		pwr, att, gt := st.pwr[:len(act)], st.att[:len(act)], st.gt[:len(act)]
 		last := len(act) - 1
 		assigned := 0.0
-		if actSum > 0 {
-			inv := ej / actSum
-			for u := 0; u < last; u++ {
-				e := act[u] * inv
-				st.att[u] += e
+		if st.actSum > 0 {
+			inv := ej / st.actSum
+			for u, a := range act[:last] {
+				e := a * inv
+				att[u] += e
 				assigned += e
+				gt[u] += pwr[u] * sec
 			}
 		} else {
 			eq := ej / float64(last+1)
-			for u := 0; u < last; u++ {
-				st.att[u] += eq
+			for u := range act[:last] {
+				att[u] += eq
 				assigned += eq
+				gt[u] += pwr[u] * sec
 			}
 		}
-		st.att[last] += ej - assigned
+		att[last] += ej - assigned
+		gt[last] += pwr[last] * sec
 	}
 }
 

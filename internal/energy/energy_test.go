@@ -15,11 +15,11 @@ type fakeMeter struct {
 	watts []float64
 }
 
-func (m *fakeMeter) Units() int { return len(m.act) }
-
-func (m *fakeMeter) ReadUnitSamples(act, watts []float64) {
-	copy(act, m.act)
-	copy(watts, m.watts)
+func (m *fakeMeter) UnitSamples() (act, watts []float64, actSum float64) {
+	for _, a := range m.act {
+		actSum += a
+	}
+	return m.act, m.watts, actSum
 }
 
 // step feeds the ledger one step of length dt.

@@ -47,15 +47,29 @@ func (d DVFS) Validate() error {
 	return nil
 }
 
+// Norm returns the alpha-power law's normalisation (VNom−VT)^α / VNom,
+// the factor that makes f(VNom) = FMax. It depends on the envelope
+// alone, so a caller evaluating many voltages computes it once and
+// passes it to FreqNorm.
+func (d DVFS) Norm() float64 {
+	return math.Pow(d.VNom-d.VT, d.Alpha) / d.VNom
+}
+
 // Freq returns the operating frequency at supply voltage v under adaptive
 // clocking. Below VMin (or at/below threshold) the component cannot clock
 // and the frequency is 0; otherwise the alpha-power law applies, clamped
 // to [FMin, FMax].
 func (d DVFS) Freq(v float64) float64 {
+	return d.FreqNorm(v, d.Norm())
+}
+
+// FreqNorm is Freq with the envelope's Norm supplied by the caller: the
+// same operations in the same order, so FreqNorm(v, d.Norm()) equals
+// Freq(v) bit for bit.
+func (d DVFS) FreqNorm(v, norm float64) float64 {
 	if v < d.VMin || v <= d.VT {
 		return 0
 	}
-	norm := math.Pow(d.VNom-d.VT, d.Alpha) / d.VNom
 	f := d.FMax * (math.Pow(v-d.VT, d.Alpha) / v) / norm
 	if f > d.FMax {
 		f = d.FMax
@@ -74,13 +88,14 @@ func (d DVFS) VoltageFor(f float64) float64 {
 	if f >= d.FMax {
 		return d.VNom
 	}
-	if f <= d.Freq(d.VMin) {
+	norm := d.Norm()
+	if f <= d.FreqNorm(d.VMin, norm) {
 		return d.VMin
 	}
 	lo, hi := d.VMin, d.VNom
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if d.Freq(mid) < f {
+		if d.FreqNorm(mid, norm) < f {
 			lo = mid
 		} else {
 			hi = mid
@@ -108,7 +123,7 @@ type Model struct {
 }
 
 // Validate reports whether the model's parameters are meaningful.
-func (m Model) Validate() error {
+func (m *Model) Validate() error {
 	if err := m.DVFS.Validate(); err != nil {
 		return err
 	}
@@ -127,7 +142,7 @@ func (m Model) Validate() error {
 
 // Dynamic returns switching power at voltage v, frequency f and activity
 // factor activity (clamped to [IdleAct, 1]).
-func (m Model) Dynamic(v, f, activity float64) float64 {
+func (m *Model) Dynamic(v, f, activity float64) float64 {
 	if activity < m.IdleAct {
 		activity = m.IdleAct
 	}
@@ -138,7 +153,7 @@ func (m Model) Dynamic(v, f, activity float64) float64 {
 }
 
 // Leakage returns static power at voltage v.
-func (m Model) Leakage(v float64) float64 {
+func (m *Model) Leakage(v float64) float64 {
 	if v <= 0 {
 		return 0
 	}
@@ -147,6 +162,6 @@ func (m Model) Leakage(v float64) float64 {
 
 // Total returns total power at voltage v and activity factor activity,
 // with frequency derived from the DVFS envelope.
-func (m Model) Total(v, activity float64) float64 {
+func (m *Model) Total(v, activity float64) float64 {
 	return m.Dynamic(v, m.DVFS.Freq(v), activity) + m.Leakage(v)
 }

@@ -45,6 +45,47 @@ func TestDVFSValidate(t *testing.T) {
 	}
 }
 
+// inlineFreq is Freq as it was written before Norm was hoisted out:
+// the normalisation recomputed inline on every call.
+func inlineFreq(d DVFS, v float64) float64 {
+	if v < d.VMin || v <= d.VT {
+		return 0
+	}
+	norm := math.Pow(d.VNom-d.VT, d.Alpha) / d.VNom
+	f := d.FMax * (math.Pow(v-d.VT, d.Alpha) / v) / norm
+	if f > d.FMax {
+		f = d.FMax
+	}
+	if f < d.FMin {
+		f = d.FMin
+	}
+	return f
+}
+
+// TestHoistedNormBitwise holds Freq and FreqNorm with a once-computed
+// Norm to the inline expression, bit for bit, over a sweep through the
+// threshold, VMin, VNom, above VNom and NaN, for the CPU and GPU
+// envelopes' shapes (α = 2 and a fractional α).
+func TestHoistedNormBitwise(t *testing.T) {
+	for _, d := range []DVFS{testDVFS(), {FMax: 1.4e9, FMin: 0.3e9, VNom: 1.05, VMin: 0.65, VT: 0.35, Alpha: 1.3}} {
+		norm := d.Norm()
+		vs := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.2, d.VT, d.VMin, d.VNom, 1.5 * d.VNom,
+			math.Nextafter(d.VMin, 0), math.Nextafter(d.VMin, 2), math.Nextafter(d.VNom, 2)}
+		for v := d.VT - 0.05; v < d.VNom+0.3; v += 0.0007 {
+			vs = append(vs, v)
+		}
+		for _, v := range vs {
+			want := math.Float64bits(inlineFreq(d, v))
+			if got := math.Float64bits(d.Freq(v)); got != want {
+				t.Fatalf("α=%g Freq(%v) = %#x, inline expression %#x", d.Alpha, v, got, want)
+			}
+			if got := math.Float64bits(d.FreqNorm(v, norm)); got != want {
+				t.Fatalf("α=%g FreqNorm(%v) = %#x, inline expression %#x", d.Alpha, v, got, want)
+			}
+		}
+	}
+}
+
 func TestFreqAtNominalIsFMax(t *testing.T) {
 	d := testDVFS()
 	if got := d.Freq(d.VNom); math.Abs(got-d.FMax) > 1 {

@@ -8,10 +8,12 @@ import (
 	"hcapp/internal/core"
 	"hcapp/internal/fault"
 	"hcapp/internal/pid"
+	"hcapp/internal/power"
 	"hcapp/internal/psn"
 	"hcapp/internal/sim"
 	"hcapp/internal/trace"
 	"hcapp/internal/vr"
+	"hcapp/internal/workload"
 )
 
 // trackingEngine builds a fully loaded engine — global controller,
@@ -192,6 +194,82 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("observed strided run allocates %.1f times per %d steps, want 0", allocs, span)
 	}
+
+	// The chiplet's per-voltage table on a moving rail: the global
+	// controller re-commands the rail every period and the units sit at
+	// mixed local ratios, so steps both hit and miss the table.
+	mixed, chip := mixedRatioEngine(t)
+	mixed.RunFor(50 * sim.Microsecond)
+	mixed.Recorder().Grow((runs + 2) * span)
+	lo, hi := mixed.vdom[0], mixed.vdom[0]
+	allocs = testing.AllocsPerRun(runs, func() {
+		for i := 0; i < span; i++ {
+			mixed.now += dt
+			mixed.step()
+			lo, hi = min(lo, mixed.vdom[0]), max(hi, mixed.vdom[0])
+		}
+	})
+	if lo == hi {
+		t.Fatalf("the rail held at %g V: the table's miss path went unmeasured", lo)
+	}
+	if chip.UnitRatio(0) == chip.UnitRatio(1) {
+		t.Fatalf("units share ratio %g: the table's mixed path went unmeasured", chip.UnitRatio(0))
+	}
+	if allocs != 0 {
+		t.Fatalf("moving-rail mixed-ratio step allocates %.1f times per %d steps, want 0", allocs, span)
+	}
+}
+
+// mixedRatioEngine is a globally controlled engine over one metered
+// chiplet whose units' local controllers work in different ratio
+// windows, so the units' local voltages differ and move with the rail.
+func mixedRatioEngine(t *testing.T) (*Engine, *chiplet.Chiplet) {
+	t.Helper()
+	regCfg := vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95, TransitionTime: 130, SlewRate: 5e6}
+	units := make([]chiplet.UnitSpec, 6)
+	for i := range units {
+		top := []float64{1.0, 0.9, 0.95}[i%3]
+		units[i] = chiplet.UnitSpec{
+			Trace:      workload.ConstantTrace("steady", 2e9, 20*sim.Microsecond, 1.5, 0.2, 0.6, 0.1),
+			StartPhase: i,
+			Local:      core.MustStaticIPC(2.5, 0.6, 0.3, 0.05, core.RatioRange{Min: 0.75, Max: top}),
+		}
+	}
+	chip, err := chiplet.New(chiplet.Config{
+		Name:  "cpu",
+		Units: units,
+		Model: power.Model{
+			DVFS: power.DVFS{FMax: 2e9, FMin: 0.8e9, VNom: 1.10, VMin: 0.60, VT: 0.55, Alpha: 2.0},
+			CEff: 4.6e-9, LeakNom: 0.9, LeakExp: 1.5, IdleAct: 0.03,
+		},
+		LocalEpoch: 2 * sim.Microsecond,
+		UncoreLeak: 1.0, UncoreDyn: 1.0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip.EnableUnitMeter()
+	eng := MustNew(Config{
+		DT:       dt,
+		GlobalVR: vr.MustRegulator(regCfg),
+		Sensor:   vr.MustSensor(vr.SensorConfig{Delay: 60, FilterTau: 200}, dt),
+		PSN:      psn.MustDelayLine(75, dt, 0.95),
+		Global: core.MustGlobal(core.GlobalConfig{
+			Period:      sim.Microsecond,
+			TargetPower: 40,
+			PID: pid.Config{
+				KP: 0.006, KI: 2500, FeedForward: 0.95,
+				OutMin: 0.6, OutMax: 1.2, OverGain: 6,
+			},
+		}),
+		Slots: []Slot{{
+			Domain: core.MustDomain("cpu", config.DomainConfig{Scale: 1.0, VMin: 0.6, VMax: 1.2, VR: regCfg}),
+			Comp:   chip,
+		}},
+		Recorder:        trace.MustRecorder(dt, true),
+		TrackComponents: true,
+	})
+	return eng, chip
 }
 
 // stridingEngine is a fixed-rail, fully tracked engine of two constant

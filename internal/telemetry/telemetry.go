@@ -42,7 +42,15 @@ type atomicFloat struct {
 
 func (a *atomicFloat) Load() float64 { return math.Float64frombits(a.bits.Load()) }
 
-func (a *atomicFloat) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
+// Store sets v. A gauge fed every engine step mostly repeats its last
+// value, so an unchanged value skips the locked write: the load that
+// saw it is as good a linearization point as the store would have been.
+func (a *atomicFloat) Store(v float64) {
+	b := math.Float64bits(v)
+	if a.bits.Load() != b {
+		a.bits.Store(b)
+	}
+}
 
 func (a *atomicFloat) Add(v float64) {
 	for {

@@ -8,6 +8,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hcapp/internal/sim"
 )
@@ -82,9 +83,7 @@ func (r *Recorder) Record(total float64) {
 // RecordN appends n identical total-power samples — the recorder half
 // of a steady-state stride.
 func (r *Recorder) RecordN(total float64, n int) {
-	for i := 0; i < n; i++ {
-		r.total = append(r.total, total)
-	}
+	r.total = appendN(r.total, total, n)
 }
 
 // RecordColumn appends one step's sample to a registered column. Call
@@ -104,9 +103,21 @@ func (r *Recorder) RecordColumnN(idx int, p float64, n int) {
 		return
 	}
 	c := &r.cols[idx]
-	for i := 0; i < n; i++ {
-		c.samples = append(c.samples, p)
+	c.samples = appendN(c.samples, p, n)
+}
+
+// appendN appends n copies of v to s: one capacity check, then a fill.
+func appendN(s []float64, v float64, n int) []float64 {
+	if n <= 0 {
+		return s
 	}
+	start := len(s)
+	s = slices.Grow(s, n)[:start+n]
+	tail := s[start:]
+	for i := range tail {
+		tail[i] = v
+	}
+	return s
 }
 
 // RecordComponent appends one step's power for a named component — the

@@ -155,9 +155,9 @@ func (s *Sensor) DelaySteadyAt(p float64) bool {
 // true DelaySteadyAt: each push stores the value already present,
 // rotates the head, and applies the filter update with the identical
 // operations Push performs, so sensor state is bitwise what n real
-// pushes would have produced. Once the filter has converged the updates
-// round back to the same float and the replay degenerates to a pure
-// rotation.
+// pushes would have produced. Once the filter has converged an update
+// rounds back to the same float, and so would every later one: the
+// replay stops there and degenerates to a pure rotation.
 func (s *Sensor) AdvanceN(p float64, n int64) {
 	s.head = int((int64(s.head) + n) % int64(len(s.ring)))
 	if s.cfg.FilterTau <= 0 {
@@ -165,9 +165,15 @@ func (s *Sensor) AdvanceN(p float64, n int64) {
 		return
 	}
 	alpha := float64(s.dt) / float64(s.cfg.FilterTau+s.dt)
+	filt := s.filt
 	for i := int64(0); i < n; i++ {
-		s.filt += alpha * (p - s.filt)
+		next := filt + alpha*(p-filt)
+		if math.Float64bits(next) == math.Float64bits(filt) {
+			break
+		}
+		filt = next
 	}
+	s.filt = filt
 }
 
 // Read returns the current delayed, filtered power measurement, with

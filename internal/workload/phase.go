@@ -272,27 +272,16 @@ func (c *Cursor) SteadySteps(dt sim.Time, f, fmax float64) (n int64, instr, act 
 	return n, done, act
 }
 
-// AdvanceSteady replays n in-phase steps at frequency f: the identical
-// per-step subtraction Step performs, without boundary handling. The
-// caller must bound n by SteadySteps so no replayed step could have
-// crossed a phase boundary.
-func (c *Cursor) AdvanceSteady(n int64, dt sim.Time, f, fmax float64) {
-	if f <= 0 {
-		return
-	}
-	p := c.trace.Phases[c.idx]
-	ips := p.IPS(f, fmax)
-	if ips <= 0 {
-		return
-	}
-	done := ips * sim.Seconds(dt)
-	for i := int64(0); i < n; i++ {
-		c.remaining -= done
-	}
-}
-
 // Remaining returns the instructions left in the current phase.
 func (c *Cursor) Remaining() float64 { return c.remaining }
+
+// SetRemaining stores the instructions left in the current phase after a
+// caller's own replay of in-phase steps: starting from Remaining, it
+// subtracts SteadySteps' per-step instr once per step — the identical
+// subtraction Step performs — in a loop fused with its own accumulators.
+// The caller must bound the replay by SteadySteps so no replayed step
+// could have crossed a phase boundary.
+func (c *Cursor) SetRemaining(rem float64) { c.remaining = rem }
 
 func (c *Cursor) advance() {
 	c.idx = (c.idx + 1) % len(c.trace.Phases)

@@ -326,4 +326,10 @@ echo "== fuzz (short) =="
 go test -run NoSuchTest -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry
 go test -run NoSuchTest -fuzz FuzzClusterProtocol -fuzztime 5s ./internal/cluster
 
+# The chiplet's per-voltage table must be exact: fuzzed rails, per-unit
+# ratios and guardband margins, with Step power held bit for bit to the
+# model evaluated directly and SteadyFor/StepN to their uncached twins.
+echo "== fuzz: per-voltage table =="
+go test -run NoSuchTest -fuzz FuzzPerVoltageTable -fuzztime 10s ./internal/chiplet
+
 echo "ci: all green"
