@@ -41,20 +41,23 @@ func main() {
 	}
 
 	cfg := hcapp.DefaultConfig()
-	topo := hcapp.Topology{Chiplets: []hcapp.ChipletSpec{
-		{Kind: "cpu", Name: "cpu0", Benchmark: swaptions},
-		{Kind: "cpu", Name: "cpu1", Benchmark: custom[0], Seed: 7},
-		{Kind: "gpu", Benchmark: backprop},
-		{Kind: "sha", Name: "sha0"},
-		{Kind: "sha", Name: "sha1", WorkScale: 1.5},
-		{Kind: "mem", Watts: 16},
-	}}
+	topo := hcapp.Topology{
+		Chiplets: []hcapp.ChipletSpec{
+			{Kind: "cpu", Name: "cpu0", Benchmark: swaptions},
+			{Kind: "cpu", Name: "cpu1", Benchmark: custom[0], Seed: 7},
+			{Kind: "gpu", Benchmark: backprop},
+			{Kind: "sha", Name: "sha0"},
+			{Kind: "sha", Name: "sha1", WorkScale: 1.5},
+			{Kind: "mem", Watts: 16},
+		},
+		// Size each compute chiplet's work to ~6 ms at the fixed 0.95 V point.
+		SizingDur: 6 * hcapp.Millisecond,
+	}
 
 	const target = 150.0 // watts: a bigger package, a bigger budget
-	eng, err := hcapp.BuildTopology(cfg, topo, hcapp.TopologyOptions{
+	eng, err := hcapp.BuildTopology(cfg, topo, hcapp.BuildOptions{
 		Scheme:      hcapp.HCAPPScheme(),
 		TargetPower: target,
-		SizingDur:   6 * hcapp.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -228,9 +228,6 @@ type ChipletSpec = experiment.ChipletSpec
 // global rail and one HCAPP controller.
 type Topology = experiment.Topology
 
-// TopologyOptions parameterizes custom package assembly.
-type TopologyOptions = experiment.TopologyOptions
-
 // Benchmark is a workload proxy (built-in or custom).
 type Benchmark = workload.Benchmark
 
@@ -245,8 +242,9 @@ func BenchmarkByName(name string) (Benchmark, error) { return workload.ByName(na
 // workload.SpecJSON for the schema).
 func LoadBenchmarks(r io.Reader) ([]Benchmark, error) { return workload.ParseBenchmarks(r) }
 
-// BuildTopology assembles a custom package (see examples/custom).
-func BuildTopology(cfg SystemConfig, topo Topology, opts TopologyOptions) (*sched.Engine, error) {
+// BuildTopology assembles a custom package (see examples/custom) with
+// the same options as Build; the topology sizes its own work pools.
+func BuildTopology(cfg SystemConfig, topo Topology, opts BuildOptions) (*sched.Engine, error) {
 	return experiment.BuildTopology(cfg, topo, opts)
 }
 

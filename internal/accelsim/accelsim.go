@@ -40,6 +40,9 @@ type Accel struct {
 
 // Options selects the accelerator's work pool and local controller.
 type Options struct {
+	// Name is the component name ("" → "sha"); a package with several
+	// accelerators gives each its own.
+	Name string
 	// TotalWorkGB is the number of gigabytes to hash; zero runs forever.
 	TotalWorkGB float64
 	// Local overrides the default pass-through local controller
@@ -73,8 +76,12 @@ func New(cfg config.AccelConfig, opts Options) (*Accel, error) {
 		}
 		local = pt
 	}
+	name := opts.Name
+	if name == "" {
+		name = "sha"
+	}
 	return &Accel{
-		name:      "sha",
+		name:      name,
 		powerLUT:  plut,
 		tputLUT:   tlut,
 		vMin:      lo,

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -192,6 +194,13 @@ func TestHedgeStragglerSlice(t *testing.T) {
 	inner := NewWorker(WorkerConfig{ID: "a-slow", Workers: 2, Logf: t.Logf})
 	innerH := inner.Handler()
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Read the body up front: the server only notices the client
+		// hanging up (and cancels r.Context()) once it has.
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		select {
 		case <-r.Context().Done():
 			return // cancelled: the hedge won

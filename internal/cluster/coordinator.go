@@ -587,9 +587,10 @@ func (c *Coordinator) dispatch(ctx context.Context, params Params, interactive b
 // in-flight request is cancelled). Worker failures are recorded on the
 // per-worker circuit breaker and mark the worker dead; an error return
 // means every attempted worker failed and the caller should re-shard.
+// Every return cancels and drains the posts still in flight, so each
+// attempt span the slice opened has ended by the time it returns.
 func (c *Coordinator) hedgedPost(ctx context.Context, primary RegisterRequest, params Params, slice []leaderItem) ([]ItemResult, error) {
 	postCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	type outcome struct {
 		w     RegisterRequest
 		resp  *RunResponse
@@ -645,6 +646,12 @@ func (c *Coordinator) hedgedPost(ctx context.Context, primary RegisterRequest, p
 		hedgeC = t.C
 	}
 	outstanding := 1
+	defer func() {
+		cancel()
+		for ; outstanding > 0; outstanding-- {
+			<-ch
+		}
+	}()
 	var firstErr error
 	for {
 		select {
@@ -674,8 +681,6 @@ func (c *Coordinator) hedgedPost(ctx context.Context, primary RegisterRequest, p
 				go post(h, true)
 			}
 		case <-ctx.Done():
-			// The buffered channel lets the in-flight posts finish and
-			// exit without a reader.
 			return nil, ctx.Err()
 		}
 	}

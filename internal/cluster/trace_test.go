@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -200,6 +201,65 @@ func waitForCount(t *testing.T, count func() float64, want float64) {
 			t.Fatalf("count stuck at %g, want %g", count(), want)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// slowUnwind is a transport whose requests to one host never answer
+// and, once cancelled, take unwind to give up — a hedge loser still
+// tearing down its connection after the winner has landed.
+type slowUnwind struct {
+	host   string
+	unwind time.Duration
+}
+
+func (s slowUnwind) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Host != s.host {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	<-r.Context().Done()
+	time.Sleep(s.unwind)
+	return nil, r.Context().Err()
+}
+
+// TestHedgeLoserSpanEndsBeforeExecuteReturns: a hedged slice's losing
+// post is cancelled and drained before the batch resolves, so a trace
+// read right after Execute returns already holds both sibling attempt
+// spans — the winner's "ok" and the loser's "cancelled" — however
+// slowly the loser unwinds.
+func TestHedgeLoserSpanEndsBeforeExecuteReturns(t *testing.T) {
+	// The straggler sorts first, so the single-slice batch routes to it.
+	slow := httptest.NewServer(http.NotFoundHandler())
+	t.Cleanup(slow.Close)
+	tr := tracing.New(tracing.Config{})
+	c := NewCoordinator(CoordinatorConfig{
+		HedgeAfter: 5 * time.Millisecond,
+		Client:     &http.Client{Transport: slowUnwind{host: strings.TrimPrefix(slow.URL, "http://"), unwind: 100 * time.Millisecond}},
+		Logf:       t.Logf,
+	}).WithTracer(tr)
+	if _, err := c.Register(RegisterRequest{ID: "a-slow", Addr: slow.URL, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	startFakeWorker(t, c, "b-fast", 0)
+
+	root := tr.StartRoot("job", "job-hedge", "job-hedge")
+	run := tr.StartSpan(root.Context(), "run")
+	ctx := tracing.ContextWith(context.Background(), tr, run.Context())
+	if _, err := c.Execute(ctx, RunRequest{
+		Priority: PriorityInteractive,
+		Params:   testParams(),
+		Items:    testItems(t, 1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := tr.Trace(tracing.TraceIDFor("job-hedge"))
+	outcomes := map[string]string{}
+	for _, s := range spans {
+		if tracing.StageOf(s.Name) == "attempt" {
+			outcomes[s.Attrs["kind"]] = s.Attrs["outcome"]
+		}
+	}
+	if want := map[string]string{"primary": "cancelled", "hedge": "ok"}; !reflect.DeepEqual(outcomes, want) {
+		t.Fatalf("attempt outcomes by kind %v right after Execute, want %v", outcomes, want)
 	}
 }
 

@@ -17,6 +17,9 @@ import (
 
 // Options selects the workload and control features of a CPU instance.
 type Options struct {
+	// Name is the component name ("" → "cpu"); a package with several
+	// CPU chiplets gives each its own.
+	Name string
 	// Benchmark is the PARSEC proxy every core executes.
 	Benchmark workload.Benchmark
 	// Seed drives trace generation.
@@ -62,8 +65,12 @@ func New(cfg config.CPUConfig, local config.LocalCPUConfig, opts Options) (*chip
 	if epoch <= 0 {
 		epoch = 5 * sim.Microsecond
 	}
+	name := opts.Name
+	if name == "" {
+		name = "cpu"
+	}
 	return chiplet.New(chiplet.Config{
-		Name:          "cpu",
+		Name:          name,
 		Units:         units,
 		Model:         cfg.Core,
 		LocalEpoch:    epoch,

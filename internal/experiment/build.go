@@ -86,8 +86,10 @@ type BuildOptions struct {
 	// Priorities maps domain name ("cpu", "gpu", "sha") to a software
 	// priority value; unlisted domains stay at 1.0 (§5.3).
 	Priorities map[string]float64
-	// Work pools. Zero values mean "run forever" — use SizeWork to fill
-	// them against the fixed-voltage baseline.
+	// Work pools of the paper package's single cpu, gpu and sha chiplet.
+	// Zero values mean "run forever" — use SizeWork to fill them against
+	// the fixed-voltage baseline. BuildTopology rejects them: a custom
+	// package sizes its pools with Topology.SizingDur instead.
 	CPUWork, GPUWork, AccelWorkGB float64
 	// TrackComponents enables per-component trace recording.
 	TrackComponents bool
@@ -150,58 +152,48 @@ type System struct {
 	Opts   BuildOptions
 }
 
-// Build assembles the full target system for one combo under one scheme.
+// Build assembles the paper's Table 3 package — one CPU, one GPU, one
+// SHA accelerator and the memory chiplet — for one combo under one
+// scheme.
 func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, error) {
+	sys, err := assemble(cfg, Topology{Chiplets: []ChipletSpec{
+		{Kind: "cpu", Benchmark: combo.CPU},
+		{Kind: "gpu", Benchmark: combo.GPU},
+		{Kind: "sha"},
+		{Kind: "mem"},
+	}}, opts)
+	if err != nil {
+		return nil, err
+	}
+	slots := sys.Engine.Slots()
+	sys.CPU = slots[0].Comp.(*chiplet.Chiplet)
+	sys.GPU = slots[1].Comp.(*chiplet.Chiplet)
+	sys.Accel = slots[2].Comp.(*accelsim.Accel)
+	return sys, nil
+}
+
+// assemble builds one package: every chiplet of topo under one global
+// rail and one level-1 controller, each chiplet with its own level-2
+// domain. Build, BuildTopology and the scaling sweep all come through
+// here. opts.CPUWork, GPUWork and AccelWorkGB fill the cpu, gpu and sha
+// pools (only Build sets them); topo.SizingDur, when set, sizes every
+// compute chiplet at the fixed 0.95 V point instead.
+func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-
+	if len(topo.Chiplets) == 0 {
+		return nil, fmt.Errorf("experiment: empty topology")
+	}
 	dynamic := opts.Scheme.Kind != config.FixedVoltage
 	localCtl := (dynamic || opts.ForceLocalControl) && !opts.DisableLocalControl
-	var th *thermal.Config
-	if opts.EnableThermal {
-		t := thermal.DefaultChiplet()
-		th = &t
-	}
-	cpu, err := cpusim.New(cfg.CPU, cfg.LocalCPU, cpusim.Options{
-		Benchmark:     combo.CPU,
-		Seed:          cfg.Seed,
-		LocalControl:  localCtl,
-		TotalWork:     opts.CPUWork,
-		Thermal:       th,
-		VoltageMargin: opts.VoltageMargin,
-	})
-	if err != nil {
-		return nil, err
-	}
-	gpu, err := gpusim.New(cfg.GPU, cfg.LocalEpoch, gpusim.Options{
-		Benchmark:     combo.GPU,
-		Seed:          cfg.Seed,
-		LocalControl:  localCtl,
-		TotalWork:     opts.GPUWork,
-		Controller:    opts.GPUController,
-		Thermal:       th,
-		VoltageMargin: opts.VoltageMargin,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var accLocal core.Local
-	if opts.AdversarialAccel {
-		accLocal = core.Adversarial{}
-	}
-	acc, err := accelsim.New(cfg.Accel, accelsim.Options{
-		TotalWorkGB: opts.AccelWorkGB,
-		Local:       accLocal,
-	})
-	if err != nil {
-		return nil, err
-	}
-	mem := chiplet.NewConstant("mem", cfg.Mem.Power)
 
 	// Voltage delivery.
 	gvrCfg := cfg.GlobalVR
-	if opts.Scheme.Kind == config.FixedVoltage {
+	if !dynamic {
+		if opts.Scheme.FixedV == 0 {
+			return nil, fmt.Errorf("experiment: fixed scheme needs a voltage")
+		}
 		gvrCfg.VInit = opts.Scheme.FixedV
 	}
 	gvr, err := vr.NewRegulator(gvrCfg)
@@ -238,35 +230,125 @@ func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, er
 		}
 	}
 
-	// Level-2 controllers.
-	mkDomain := func(name string, dc config.DomainConfig) (*core.Domain, error) {
-		d, err := core.NewDomain(name, dc)
+	// Chiplets and their level-2 controllers. Energy-ledger slots are
+	// index-aligned with the engine slots, as ObserveSteps samples are.
+	var th *thermal.Config
+	if opts.EnableThermal {
+		t := thermal.DefaultChiplet()
+		th = &t
+	}
+	var accLocal core.Local
+	if opts.AdversarialAccel {
+		accLocal = core.Adversarial{}
+	}
+	sizeSec := sim.Seconds(topo.SizingDur)
+	names := map[string]bool{}
+	slots := make([]sched.Slot, len(topo.Chiplets))
+	ledgerSlots := make([]energy.SlotConfig, len(topo.Chiplets))
+	for i, spec := range topo.Chiplets {
+		name := spec.Name
+		if name == "" {
+			name = spec.Kind
+		}
+		if names[name] {
+			return nil, fmt.Errorf("experiment: duplicate chiplet name %q", name)
+		}
+		names[name] = true
+		seed := spec.Seed
+		if seed == 0 {
+			seed = cfg.Seed
+		}
+		workScale := spec.WorkScale
+		if workScale == 0 {
+			workScale = 1
+		}
+
+		var comp sim.Component
+		var domCfg config.DomainConfig
+		ls := energy.SlotConfig{Domain: name, Benchmark: spec.Benchmark.Name}
+		switch spec.Kind {
+		case "cpu":
+			c, err := cpusim.New(cfg.CPU, cfg.LocalCPU, cpusim.Options{
+				Name:          name,
+				Benchmark:     spec.Benchmark,
+				Seed:          seed,
+				LocalControl:  localCtl,
+				TotalWork:     opts.CPUWork,
+				Thermal:       th,
+				VoltageMargin: opts.VoltageMargin,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiment: chiplet %d: %w", i, err)
+			}
+			if sizeSec > 0 {
+				c.SetTotalWork(c.AvgIPSAt(0.95*cfg.CPUDomain.Scale) * sizeSec * workScale)
+			}
+			if opts.TrackEnergy {
+				c.EnableUnitMeter()
+			}
+			comp, domCfg = c, cfg.CPUDomain
+			ls.UnitLabel, ls.Meter = "core", c
+		case "gpu":
+			g, err := gpusim.New(cfg.GPU, cfg.LocalEpoch, gpusim.Options{
+				Name:          name,
+				Benchmark:     spec.Benchmark,
+				Seed:          seed,
+				LocalControl:  localCtl,
+				TotalWork:     opts.GPUWork,
+				Controller:    opts.GPUController,
+				Thermal:       th,
+				VoltageMargin: opts.VoltageMargin,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiment: chiplet %d: %w", i, err)
+			}
+			if sizeSec > 0 {
+				g.SetTotalWork(g.AvgIPSAt(0.95*cfg.GPUDomain.Scale) * sizeSec * workScale)
+			}
+			if opts.TrackEnergy {
+				g.EnableUnitMeter()
+			}
+			comp, domCfg = g, cfg.GPUDomain
+			ls.UnitLabel, ls.Meter = "sm", g
+		case "sha":
+			a, err := accelsim.New(cfg.Accel, accelsim.Options{
+				Name:        name,
+				TotalWorkGB: opts.AccelWorkGB,
+				Local:       accLocal,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiment: chiplet %d: %w", i, err)
+			}
+			if sizeSec > 0 {
+				a.SetTotalWork(a.ThroughputAt(0.95*cfg.AccelDomain.Scale) * sizeSec * workScale)
+			}
+			comp, domCfg = a, cfg.AccelDomain
+			ls.Benchmark, ls.Meter = "sha256", a
+		case "mem":
+			watts := spec.Watts
+			if watts == 0 {
+				watts = cfg.Mem.Power
+			}
+			// Mem has no meter: its constant draw is attributed to the
+			// static "benchmark" exactly.
+			comp, domCfg = chiplet.NewConstant(name, watts), cfg.MemDomain
+			ls.Benchmark = "static"
+		default:
+			return nil, fmt.Errorf("experiment: chiplet %d: unknown kind %q", i, spec.Kind)
+		}
+
+		dom, err := core.NewDomain(name, domCfg)
 		if err != nil {
 			return nil, err
 		}
 		if p, ok := opts.Priorities[name]; ok {
-			d.SetPriority(p)
+			dom.SetPriority(p)
 		}
 		if opts.Watchdog.Timeout > 0 {
-			d.EnableWatchdog(opts.Watchdog)
+			dom.EnableWatchdog(opts.Watchdog)
 		}
-		return d, nil
-	}
-	cpuDom, err := mkDomain("cpu", cfg.CPUDomain)
-	if err != nil {
-		return nil, err
-	}
-	gpuDom, err := mkDomain("gpu", cfg.GPUDomain)
-	if err != nil {
-		return nil, err
-	}
-	accDom, err := mkDomain("sha", cfg.AccelDomain)
-	if err != nil {
-		return nil, err
-	}
-	memDom, err := mkDomain("mem", cfg.MemDomain)
-	if err != nil {
-		return nil, err
+		slots[i] = sched.Slot{Domain: dom, Comp: comp}
+		ledgerSlots[i] = ls
 	}
 
 	rec, err := trace.NewRecorder(cfg.TimeStep, opts.TrackComponents)
@@ -283,32 +365,17 @@ func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, er
 	obs := opts.Observer
 	var ledger *energy.Ledger
 	if opts.TrackEnergy {
-		cpu.EnableUnitMeter()
-		gpu.EnableUnitMeter()
-		// Slot order here must mirror the sched.Config Slots below —
-		// ObserveSteps samples are index-aligned. Mem has no meter: its
-		// constant draw is attributed to the static "benchmark" exactly.
-		ledger = energy.NewLedger([]energy.SlotConfig{
-			{Domain: "cpu", Benchmark: combo.CPU.Name, UnitLabel: "core", Meter: cpu},
-			{Domain: "gpu", Benchmark: combo.GPU.Name, UnitLabel: "sm", Meter: gpu},
-			{Domain: "sha", Benchmark: "sha256", Meter: acc},
-			{Domain: "mem", Benchmark: "static"},
-		})
+		ledger = energy.NewLedger(ledgerSlots)
 		obs = sched.Observers(ledger, opts.Observer)
 	}
 	eng, err := sched.New(sched.Config{
-		DT:       cfg.TimeStep,
-		GlobalVR: gvr,
-		Sensor:   sensor,
-		PSN:      line,
-		Droop:    psn.Droop{R: cfg.DroopOhms},
-		Global:   global,
-		Slots: []sched.Slot{
-			{Domain: cpuDom, Comp: cpu},
-			{Domain: gpuDom, Comp: gpu},
-			{Domain: accDom, Comp: acc},
-			{Domain: memDom, Comp: mem},
-		},
+		DT:              cfg.TimeStep,
+		GlobalVR:        gvr,
+		Sensor:          sensor,
+		PSN:             line,
+		Droop:           psn.Droop{R: cfg.DroopOhms},
+		Global:          global,
+		Slots:           slots,
 		Recorder:        rec,
 		TrackComponents: opts.TrackComponents,
 		Supervisor:      opts.Supervisor,
@@ -319,7 +386,7 @@ func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, er
 	if err != nil {
 		return nil, err
 	}
-	return &System{Engine: eng, CPU: cpu, GPU: gpu, Accel: acc, Energy: ledger, Cfg: cfg, Opts: opts}, nil
+	return &System{Engine: eng, Energy: ledger, Cfg: cfg, Opts: opts}, nil
 }
 
 // Sizing holds the work pools that make the fixed-voltage baseline run

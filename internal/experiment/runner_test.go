@@ -402,6 +402,12 @@ func TestBespokeDriversHonourCancel(t *testing.T) {
 			_, err := ev.ablationVREfficiency(ctx)
 			return err
 		}},
+		{"scaling-cell", func(ctx context.Context, ev *Evaluator) error {
+			sc := DefaultScalingConfig()
+			sc.Dur = ev.TargetDur
+			_, _, err := runScalingCell(ctx, ev.Cfg, sc, 2, sim.Microsecond, 2*sc.LimitPerTriple, ev.Observer)
+			return err
+		}},
 	}
 	cancels := []struct {
 		name string

@@ -5,18 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"hcapp/internal/accelsim"
-	"hcapp/internal/chiplet"
 	"hcapp/internal/config"
-	"hcapp/internal/core"
-	"hcapp/internal/cpusim"
-	"hcapp/internal/gpusim"
 	"hcapp/internal/noc"
-	"hcapp/internal/psn"
 	"hcapp/internal/sched"
 	"hcapp/internal/sim"
-	"hcapp/internal/trace"
-	"hcapp/internal/vr"
 )
 
 // The scaling experiment operationalizes the paper's third motivating
@@ -164,112 +156,51 @@ func RunScalingWith(r *Runner, cfg config.SystemConfig, sc ScalingConfig) (*Scal
 // n-triple package under one controller period — and reduces the trace
 // to the two numbers the sweep table plots. It is the unit of work the
 // cluster protocol ships to fleet workers, so its signature is exactly
-// the serializable sweep inputs.
+// the serializable sweep inputs. A cancelled ctx stops the engine at its
+// next poll (an already-cancelled one before the build) and returns
+// ctx.Err().
 func RunScalingCell(ctx context.Context, cfg config.SystemConfig, sc ScalingConfig, triples int, period sim.Time, limit float64) (maxOver, ppe float64, err error) {
-	rec, err := runScaled(cfg, sc, triples, period, limit)
-	if err != nil {
-		return 0, 0, err
+	return runScalingCell(ctx, cfg, sc, triples, period, limit, nil)
+}
+
+// runScalingCell is RunScalingCell with a step observer attached. The
+// cell is n cpu/gpu/sha triples plus one memory chiplet drawing n
+// times the configured memory power, on a rail whose droop resistance
+// falls as 1/n (n times the power-delivery pins).
+func runScalingCell(ctx context.Context, cfg config.SystemConfig, sc ScalingConfig, n int, period sim.Time, limit float64, obs sched.StepObserver) (maxOver, ppe float64, err error) {
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("experiment: non-positive chiplet count %d", n)
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	return rec.MaxWindowAvg(sc.Window) / limit, rec.PPE(limit), nil
-}
-
-// runScaled builds an n-triple package under a single global controller
-// with the given period and runs it.
-func runScaled(cfg config.SystemConfig, sc ScalingConfig, n int, period sim.Time, limit float64) (*trace.Recorder, error) {
-	gvrCfg := cfg.GlobalVR
-	gvr, err := vr.NewRegulator(gvrCfg)
-	if err != nil {
-		return nil, err
-	}
-	sensor, err := vr.NewSensor(cfg.Sensor, cfg.TimeStep)
-	if err != nil {
-		return nil, err
-	}
-	line, err := psn.NewDelayLine(cfg.PSNDelay, cfg.TimeStep, gvrCfg.VInit)
-	if err != nil {
-		return nil, err
-	}
-	pcfg := DefaultPIDFor(config.Scheme{Kind: config.HCAPP, ControlPeriod: period}, gvrCfg)
-	global, err := core.NewGlobal(core.GlobalConfig{
-		Period:      period,
-		TargetPower: limit * 0.86,
-		PID:         pcfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var slots []sched.Slot
+	specs := make([]ChipletSpec, 0, 3*n+1)
 	for i := 0; i < n; i++ {
 		// All triples share one seed: a parallel application spanning
 		// chiplets phases together, so aggregate power volatility does
 		// not average away as the system grows.
-		seed := cfg.Seed
-		cpu, err := cpusim.New(cfg.CPU, cfg.LocalCPU, cpusim.Options{
-			Benchmark: sc.Combo.CPU, Seed: seed, LocalControl: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		gpu, err := gpusim.New(cfg.GPU, cfg.LocalEpoch, gpusim.Options{
-			Benchmark: sc.Combo.GPU, Seed: seed, LocalControl: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		acc, err := accelsim.New(cfg.Accel, accelsim.Options{})
-		if err != nil {
-			return nil, err
-		}
-		cpuDom, err := core.NewDomain(fmt.Sprintf("cpu%d", i), cfg.CPUDomain)
-		if err != nil {
-			return nil, err
-		}
-		gpuDom, err := core.NewDomain(fmt.Sprintf("gpu%d", i), cfg.GPUDomain)
-		if err != nil {
-			return nil, err
-		}
-		accDom, err := core.NewDomain(fmt.Sprintf("sha%d", i), cfg.AccelDomain)
-		if err != nil {
-			return nil, err
-		}
-		slots = append(slots,
-			sched.Slot{Domain: cpuDom, Comp: cpu},
-			sched.Slot{Domain: gpuDom, Comp: gpu},
-			sched.Slot{Domain: accDom, Comp: acc},
+		specs = append(specs,
+			ChipletSpec{Kind: "cpu", Name: fmt.Sprintf("cpu%d", i), Benchmark: sc.Combo.CPU},
+			ChipletSpec{Kind: "gpu", Name: fmt.Sprintf("gpu%d", i), Benchmark: sc.Combo.GPU},
+			ChipletSpec{Kind: "sha", Name: fmt.Sprintf("sha%d", i)},
 		)
 	}
-	memDom, err := core.NewDomain("mem", cfg.MemDomain)
-	if err != nil {
-		return nil, err
-	}
-	slots = append(slots, sched.Slot{
-		Domain: memDom,
-		Comp:   chiplet.NewConstant("mem", cfg.Mem.Power*float64(n)),
-	})
-
-	rec, err := trace.NewRecorder(cfg.TimeStep, false)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sched.New(sched.Config{
-		DT:       cfg.TimeStep,
-		GlobalVR: gvr,
-		Sensor:   sensor,
-		PSN:      line,
-		Droop:    psn.Droop{R: cfg.DroopOhms / float64(n)},
-		Global:   global,
-		Slots:    slots,
-		Recorder: rec,
+	specs = append(specs, ChipletSpec{Kind: "mem", Watts: cfg.Mem.Power * float64(n)})
+	cfg.DroopOhms /= float64(n)
+	eng, err := BuildTopology(cfg, Topology{Chiplets: specs}, BuildOptions{
+		Scheme:      config.Scheme{Kind: config.HCAPP, ControlPeriod: period},
+		TargetPower: limit * 0.86,
+		Observer:    obs,
 	})
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	eng.RunFor(sc.Dur)
-	return rec, nil
+	eng.RunWithCancel(sc.Dur, func() bool { return ctx.Err() != nil })
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
+	rec := eng.Recorder()
+	return rec.MaxWindowAvg(sc.Window) / limit, rec.PPE(limit), nil
 }
 
 // Render formats the sweep as a table.

@@ -3,17 +3,9 @@ package experiment
 import (
 	"fmt"
 
-	"hcapp/internal/accelsim"
-	"hcapp/internal/chiplet"
 	"hcapp/internal/config"
-	"hcapp/internal/core"
-	"hcapp/internal/cpusim"
-	"hcapp/internal/gpusim"
-	"hcapp/internal/psn"
 	"hcapp/internal/sched"
 	"hcapp/internal/sim"
-	"hcapp/internal/trace"
-	"hcapp/internal/vr"
 	"hcapp/internal/workload"
 )
 
@@ -42,186 +34,23 @@ type ChipletSpec struct {
 // rail and one HCAPP global controller.
 type Topology struct {
 	Chiplets []ChipletSpec
-}
-
-// TopologyOptions parameterizes assembly of a custom package.
-type TopologyOptions struct {
-	// Scheme is the control scheme (fixed voltage or any HCAPP variant).
-	Scheme config.Scheme
-	// TargetPower is PSPEC for dynamic schemes.
-	TargetPower float64
 	// SizingDur sizes each compute chiplet's work pool so it runs for
 	// roughly this long at the fixed 0.95 V point (0 → run forever).
 	SizingDur sim.Time
-	// TrackComponents enables per-component and voltage tracing.
-	TrackComponents bool
 }
 
-// BuildTopology assembles a custom package. It is the generalization of
-// Build that the scaling experiment and downstream users with their own
-// chiplet mixes need.
-func BuildTopology(cfg config.SystemConfig, topo Topology, opts TopologyOptions) (*sched.Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// BuildTopology assembles a custom package through the same assembler
+// as Build, so every BuildOptions control applies to it; Priorities are
+// keyed by chiplet name. The paper package's work pools (CPUWork,
+// GPUWork, AccelWorkGB) must be zero: Topology.SizingDur and each
+// ChipletSpec.WorkScale size a topology.
+func BuildTopology(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*sched.Engine, error) {
+	if opts.CPUWork != 0 || opts.GPUWork != 0 || opts.AccelWorkGB != 0 {
+		return nil, fmt.Errorf("experiment: a topology sizes its work with SizingDur and WorkScale, not CPUWork/GPUWork/AccelWorkGB")
 	}
-	if len(topo.Chiplets) == 0 {
-		return nil, fmt.Errorf("experiment: empty topology")
-	}
-
-	dynamic := opts.Scheme.Kind != config.FixedVoltage
-	gvrCfg := cfg.GlobalVR
-	if !dynamic {
-		if opts.Scheme.FixedV == 0 {
-			return nil, fmt.Errorf("experiment: fixed scheme needs a voltage")
-		}
-		gvrCfg.VInit = opts.Scheme.FixedV
-	}
-	gvr, err := vr.NewRegulator(gvrCfg)
+	sys, err := assemble(cfg, topo, opts)
 	if err != nil {
 		return nil, err
 	}
-	sensor, err := vr.NewSensor(cfg.Sensor, cfg.TimeStep)
-	if err != nil {
-		return nil, err
-	}
-	line, err := psn.NewDelayLine(cfg.PSNDelay, cfg.TimeStep, gvrCfg.VInit)
-	if err != nil {
-		return nil, err
-	}
-	var global *core.Global
-	if dynamic {
-		if opts.TargetPower <= 0 {
-			return nil, fmt.Errorf("experiment: dynamic topology needs a power target")
-		}
-		global, err = core.NewGlobal(core.GlobalConfig{
-			Period:      opts.Scheme.ControlPeriod,
-			TargetPower: opts.TargetPower,
-			PID:         DefaultPIDFor(opts.Scheme, gvrCfg),
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	sizeSec := sim.Seconds(opts.SizingDur)
-	names := map[string]bool{}
-	var slots []sched.Slot
-	for i, spec := range topo.Chiplets {
-		name := spec.Name
-		if name == "" {
-			name = spec.Kind
-		}
-		if names[name] {
-			return nil, fmt.Errorf("experiment: duplicate chiplet name %q", name)
-		}
-		names[name] = true
-		seed := spec.Seed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		workScale := spec.WorkScale
-		if workScale == 0 {
-			workScale = 1
-		}
-
-		var comp sim.Component
-		var domCfg config.DomainConfig
-		switch spec.Kind {
-		case "cpu":
-			c, err := cpusim.New(cfg.CPU, cfg.LocalCPU, cpusim.Options{
-				Benchmark: spec.Benchmark, Seed: seed, LocalControl: dynamic,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: chiplet %d: %w", i, err)
-			}
-			if sizeSec > 0 {
-				c.SetTotalWork(c.AvgIPSAt(0.95*cfg.CPUDomain.Scale) * sizeSec * workScale)
-			}
-			comp, domCfg = c, cfg.CPUDomain
-		case "gpu":
-			g, err := gpusim.New(cfg.GPU, cfg.LocalEpoch, gpusim.Options{
-				Benchmark: spec.Benchmark, Seed: seed, LocalControl: dynamic,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: chiplet %d: %w", i, err)
-			}
-			if sizeSec > 0 {
-				g.SetTotalWork(g.AvgIPSAt(0.95*cfg.GPUDomain.Scale) * sizeSec * workScale)
-			}
-			comp, domCfg = g, cfg.GPUDomain
-		case "sha":
-			a, err := accelsim.New(cfg.Accel, accelsim.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: chiplet %d: %w", i, err)
-			}
-			if sizeSec > 0 {
-				a.SetTotalWork(a.ThroughputAt(0.95*cfg.AccelDomain.Scale) * sizeSec * workScale)
-			}
-			comp, domCfg = a, cfg.AccelDomain
-		case "mem":
-			watts := spec.Watts
-			if watts == 0 {
-				watts = cfg.Mem.Power
-			}
-			comp, domCfg = chiplet.NewConstant(name, watts), cfg.MemDomain
-		default:
-			return nil, fmt.Errorf("experiment: chiplet %d: unknown kind %q", i, spec.Kind)
-		}
-
-		dom, err := core.NewDomain(name, domCfg)
-		if err != nil {
-			return nil, err
-		}
-		slots = append(slots, sched.Slot{Domain: dom, Comp: &named{Component: comp, name: name}})
-	}
-
-	rec, err := trace.NewRecorder(cfg.TimeStep, opts.TrackComponents)
-	if err != nil {
-		return nil, err
-	}
-	return sched.New(sched.Config{
-		DT:              cfg.TimeStep,
-		GlobalVR:        gvr,
-		Sensor:          sensor,
-		PSN:             line,
-		Droop:           psn.Droop{R: cfg.DroopOhms},
-		Global:          global,
-		Slots:           slots,
-		Recorder:        rec,
-		TrackComponents: opts.TrackComponents,
-	})
-}
-
-// named wraps a component to give it a topology-unique name while
-// forwarding everything else (including optional interfaces used via
-// type assertions on the embedded value).
-type named struct {
-	sim.Component
-	name string
-}
-
-// Name overrides the wrapped component's name.
-func (n *named) Name() string { return n.name }
-
-// CompletionTime forwards when the wrapped component records one.
-func (n *named) CompletionTime() sim.Time {
-	if ct, ok := n.Component.(interface{ CompletionTime() sim.Time }); ok {
-		return ct.CompletionTime()
-	}
-	return -1
-}
-
-// LastPower forwards when the wrapped component reports it.
-func (n *named) LastPower() float64 {
-	if pr, ok := n.Component.(interface{ LastPower() float64 }); ok {
-		return pr.LastPower()
-	}
-	return 0
-}
-
-// Reset forwards when the wrapped component supports it.
-func (n *named) Reset() {
-	if r, ok := n.Component.(sim.Resetter); ok {
-		r.Reset()
-	}
+	return sys.Engine, nil
 }

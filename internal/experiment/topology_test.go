@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,10 +32,11 @@ func twoCPUTopology(t *testing.T) Topology {
 
 func TestBuildTopologyRuns(t *testing.T) {
 	cfg := config.Default()
-	eng, err := BuildTopology(cfg, twoCPUTopology(t), TopologyOptions{
+	topo := twoCPUTopology(t)
+	topo.SizingDur = 1 * sim.Millisecond
+	eng, err := BuildTopology(cfg, topo, BuildOptions{
 		Scheme:      config.Scheme{Kind: config.HCAPP, ControlPeriod: sim.Microsecond},
 		TargetPower: 130,
-		SizingDur:   1 * sim.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +63,8 @@ func TestBuildTopologyFixedScheme(t *testing.T) {
 	cfg := config.Default()
 	eng, err := BuildTopology(cfg, Topology{Chiplets: []ChipletSpec{
 		{Kind: "cpu", Benchmark: mustBench3(t, "swaptions")},
-	}}, TopologyOptions{
-		Scheme:    config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95},
-		SizingDur: 500 * sim.Microsecond,
+	}, SizingDur: 500 * sim.Microsecond}, BuildOptions{
+		Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,29 +77,84 @@ func TestBuildTopologyFixedScheme(t *testing.T) {
 
 func TestBuildTopologyErrors(t *testing.T) {
 	cfg := config.Default()
+	rail := config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}
+	fixed := BuildOptions{Scheme: rail}
+	sha := Topology{Chiplets: []ChipletSpec{{Kind: "sha"}}}
 	cases := []struct {
 		name string
 		topo Topology
-		opts TopologyOptions
+		opts BuildOptions
 	}{
-		{"empty", Topology{}, TopologyOptions{Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}}},
-		{"unknown kind", Topology{Chiplets: []ChipletSpec{{Kind: "fpga"}}},
-			TopologyOptions{Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}}},
-		{"duplicate name", Topology{Chiplets: []ChipletSpec{{Kind: "sha"}, {Kind: "sha"}}},
-			TopologyOptions{Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}}},
-		{"no target", Topology{Chiplets: []ChipletSpec{{Kind: "sha"}}},
-			TopologyOptions{Scheme: config.Scheme{Kind: config.HCAPP, ControlPeriod: sim.Microsecond}}},
-		{"no fixed voltage", Topology{Chiplets: []ChipletSpec{{Kind: "sha"}}},
-			TopologyOptions{Scheme: config.Scheme{Kind: config.FixedVoltage}}},
+		{"empty", Topology{}, fixed},
+		{"unknown kind", Topology{Chiplets: []ChipletSpec{{Kind: "fpga"}}}, fixed},
+		{"duplicate name", Topology{Chiplets: []ChipletSpec{{Kind: "sha"}, {Kind: "sha"}}}, fixed},
+		{"no target", sha, BuildOptions{Scheme: config.Scheme{Kind: config.HCAPP, ControlPeriod: sim.Microsecond}}},
+		{"no fixed voltage", sha, BuildOptions{Scheme: config.Scheme{Kind: config.FixedVoltage}}},
 		{"wrong benchmark target", Topology{Chiplets: []ChipletSpec{{Kind: "gpu", Benchmark: func() workload.Benchmark {
 			b, _ := workload.ByName("ferret")
 			return b
-		}()}}}, TopologyOptions{Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}}},
+		}()}}}, fixed},
+		// The paper package's pools name its single cpu, gpu and sha;
+		// a topology sizes its own.
+		{"paper cpu work", sha, BuildOptions{Scheme: rail, CPUWork: 1e6}},
+		{"paper gpu work", sha, BuildOptions{Scheme: rail, GPUWork: 1e6}},
+		{"paper accel work", sha, BuildOptions{Scheme: rail, AccelWorkGB: 1}},
 	}
 	for _, c := range cases {
 		if _, err := BuildTopology(cfg, c.topo, c.opts); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestBuildTopologyMatchesBuild: Build is the paper's four chiplets fed
+// through the one assembler, so BuildTopology over the same list — with
+// the pools SizeWork gives Build expressed as a sizing horizon — runs
+// bit for bit like Build, under a fixed rail and under HCAPP.
+func TestBuildTopologyMatchesBuild(t *testing.T) {
+	cfg := config.Default()
+	combo := mustCombo2(t, "Burst-Burst")
+	const sizing = 500 * sim.Microsecond
+	sz, err := SizeWork(cfg, combo, 0.95, sizing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hcappScheme, err := config.SchemeByKind(config.HCAPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []BuildOptions{
+		{Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}},
+		{Scheme: hcappScheme, TargetPower: 86},
+	} {
+		t.Run(string(opts.Scheme.Kind), func(t *testing.T) {
+			built := opts
+			built.CPUWork, built.GPUWork, built.AccelWorkGB = sz.CPUWork, sz.GPUWork, sz.AccelGB
+			sys, err := Build(cfg, combo, built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := BuildTopology(cfg, Topology{Chiplets: []ChipletSpec{
+				{Kind: "cpu", Benchmark: combo.CPU},
+				{Kind: "gpu", Benchmark: combo.GPU},
+				{Kind: "sha"},
+				{Kind: "mem"},
+			}, SizingDur: sizing}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const horizon = 2 * sim.Millisecond
+			want, got := sys.Engine.Run(horizon), eng.Run(horizon)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("run result %+v, Build gave %+v", got, want)
+			}
+			if len(want.Completion) != 3 {
+				t.Fatalf("completions %v: the horizon must outlast every pool", want.Completion)
+			}
+			if !reflect.DeepEqual(eng.Recorder(), sys.Engine.Recorder()) {
+				t.Fatal("recorded trace diverges from Build's")
+			}
+		})
 	}
 }
 
@@ -112,10 +168,9 @@ func TestBuildTopologyWithCustomBenchmark(t *testing.T) {
 	cfg := config.Default()
 	eng, err := BuildTopology(cfg, Topology{Chiplets: []ChipletSpec{
 		{Kind: "cpu", Benchmark: bs[0]},
-	}}, TopologyOptions{
+	}, SizingDur: 500 * sim.Microsecond}, BuildOptions{
 		Scheme:      config.Scheme{Kind: config.HCAPP, ControlPeriod: sim.Microsecond},
 		TargetPower: 60,
-		SizingDur:   500 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +186,8 @@ func TestBuildTopologyWorkScale(t *testing.T) {
 	mk := func(scale float64) sim.Time {
 		eng, err := BuildTopology(cfg, Topology{Chiplets: []ChipletSpec{
 			{Kind: "cpu", Benchmark: mustBench3(t, "swaptions"), WorkScale: scale},
-		}}, TopologyOptions{
-			Scheme:    config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95},
-			SizingDur: 500 * sim.Microsecond,
+		}, SizingDur: 500 * sim.Microsecond}, BuildOptions{
+			Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95},
 		})
 		if err != nil {
 			t.Fatal(err)

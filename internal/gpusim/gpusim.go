@@ -19,6 +19,9 @@ import (
 
 // Options selects the workload and control features of a GPU instance.
 type Options struct {
+	// Name is the component name ("" → "gpu"); a package with several
+	// GPU chiplets gives each its own.
+	Name string
 	// Benchmark is the Rodinia proxy every SM executes.
 	Benchmark workload.Benchmark
 	// Seed drives trace generation.
@@ -81,8 +84,12 @@ func New(cfg config.GPUConfig, localEpoch sim.Time, opts Options) (*chiplet.Chip
 	if localEpoch <= 0 {
 		localEpoch = 5 * sim.Microsecond
 	}
+	name := opts.Name
+	if name == "" {
+		name = "gpu"
+	}
 	return chiplet.New(chiplet.Config{
-		Name:          "gpu",
+		Name:          name,
 		Units:         units,
 		Model:         cfg.SM,
 		LocalEpoch:    localEpoch,

@@ -107,6 +107,60 @@ func TestStridedMatchesFixedTraces(t *testing.T) {
 	}
 }
 
+// TestStridedTopologyMatchesFixed: a custom topology's components are
+// the engine's own concrete types, named when built, so a Burst-Burst
+// package with a second accelerator strides — on a fixed rail and
+// under HCAPP — and its completions and whole trace, per-component
+// columns included, equal the fixed-step reference bit for bit.
+func TestStridedTopologyMatchesFixed(t *testing.T) {
+	hcapp, err := config.SchemeByKind(config.HCAPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combo := mustCombo(t, "Burst-Burst")
+	topo := experiment.Topology{
+		Chiplets: []experiment.ChipletSpec{
+			{Kind: "cpu", Benchmark: combo.CPU},
+			{Kind: "gpu", Benchmark: combo.GPU},
+			{Kind: "sha", Name: "sha0"},
+			{Kind: "sha", Name: "sha1", WorkScale: 1.5},
+			{Kind: "mem"},
+		},
+		SizingDur: 500 * sim.Microsecond,
+	}
+	const horizon = 2 * sim.Millisecond
+	for _, opts := range []experiment.BuildOptions{
+		{Scheme: fixedRail, TrackComponents: true},
+		{Scheme: hcapp, TargetPower: 120, TrackComponents: true},
+	} {
+		type run struct {
+			eng *sched.Engine
+			res sched.Result
+		}
+		f, s := paired(func() run {
+			eng, err := experiment.BuildTopology(config.Default(), topo, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{eng, eng.Run(horizon)}
+		})
+		label := string(opts.Scheme.Kind)
+		if f.eng.StridedSteps() != 0 {
+			t.Fatalf("%s: the fixed-step reference strided", label)
+		}
+		if s.eng.StridedSteps() == 0 {
+			t.Fatalf("%s: custom topology never strided", label)
+		}
+		if !reflect.DeepEqual(f.res, s.res) || len(s.res.Completion) != 4 {
+			t.Fatalf("%s: run outcome diverges: fixed %+v strided %+v", label, f.res, s.res)
+		}
+		if !reflect.DeepEqual(f.eng.Recorder(), s.eng.Recorder()) {
+			t.Fatalf("%s: strided trace diverges from the fixed-step reference", label)
+		}
+		t.Logf("%s: strided %d of %d steps", label, s.eng.StridedSteps(), s.eng.Steps())
+	}
+}
+
 // stepLog is a StepObserver that checks the bulk contract as calls
 // arrive — each call's first step directly follows the previous call's
 // last — and replays every call's n steps into running sums, so an

@@ -99,6 +99,21 @@ for args in "trace -fig 1 -dur 1" "trace -fig 2 -dur 12" "trace -fig 3 -scheme h
 done
 echo "strided output identical to the fixed-step build across every experiment id and the trace/tune subcommands"
 
+# Examples: every examples/* program, built both ways, must print the
+# same bytes. Custom topologies stride like the paper package, so this
+# is their fixed-versus-strided diff, and it keeps the facade examples
+# building and running.
+echo "== examples: fixed-step reference diff =="
+for ex in examples/*/; do
+	name="$(basename "$ex")"
+	go build -o "$tmp/ex-$name" "./$ex"
+	go build -tags hcapp_fixedstep -o "$tmp/ex-$name-fixed" "./$ex"
+	"$tmp/ex-$name-fixed" >"$tmp/ex-fixed.out"
+	"$tmp/ex-$name" >"$tmp/ex-strided.out"
+	diff -u "$tmp/ex-fixed.out" "$tmp/ex-strided.out"
+done
+echo "every example prints the same output from the fixed-step and default builds"
+
 # Fleet determinism: the same suite executed on a coordinator with two
 # workers must diff clean against the sequential standalone output, with
 # mixed-priority clients hammering the fleet concurrently.
