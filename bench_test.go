@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"hcapp"
+	"hcapp/internal/hostprobe"
 	"hcapp/internal/telemetry"
 )
 
@@ -264,33 +265,34 @@ func BenchmarkAblationGuardband(b *testing.B) {
 // engine step.
 func BenchmarkEngineStep(b *testing.B) {
 	cfg := hcapp.DefaultConfig()
-	combo, err := hcapp.ComboByName("Hi-Hi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := hcapp.Build(cfg, combo, hcapp.BuildOptions{
-		Scheme:      hcapp.HCAPPScheme(),
-		TargetPower: hcapp.TargetPowerFor(hcapp.PackagePinLimit()),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := newHiHiSystem(b, hcapp.BuildOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Engine.RunFor(cfg.TimeStep)
 	}
 }
 
-// newObservedSystem builds the BenchmarkEngineStep system with the
-// hcapp-serve style telemetry observer attached: per-domain power and
-// voltage gauges, a package power gauge, and a step counter, all on the
-// label-cached zero-alloc path.
-func newObservedSystem(tb testing.TB) *hcapp.System {
-	cfg := hcapp.DefaultConfig()
+// newHiHiSystem builds the BenchmarkEngineStep system — Hi-Hi under
+// HCAPP at the package-pin limit — with the step hooks opts sets.
+func newHiHiSystem(tb testing.TB, opts hcapp.BuildOptions) *hcapp.System {
 	combo, err := hcapp.ComboByName("Hi-Hi")
 	if err != nil {
 		tb.Fatal(err)
 	}
+	opts.Scheme = hcapp.HCAPPScheme()
+	opts.TargetPower = hcapp.TargetPowerFor(hcapp.PackagePinLimit())
+	sys, err := hcapp.Build(hcapp.DefaultConfig(), combo, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+// newObservedSystem builds the BenchmarkEngineStep system with the
+// hcapp-serve style telemetry observer attached: per-domain power and
+// voltage gauges, a package power gauge, and a step counter, all on the
+// label-cached zero-alloc path.
+func newObservedSystem(tb testing.TB) (*hcapp.System, *benchObserver) {
 	reg := telemetry.NewRegistry()
 	obs := &benchObserver{
 		steps: reg.Counter("hcapp_sim_steps_total", "Engine steps.", "job").With("bench"),
@@ -302,17 +304,10 @@ func newObservedSystem(tb testing.TB) *hcapp.System {
 		obs.power = append(obs.power, powerVec.With("bench", d))
 		obs.volt = append(obs.volt, voltVec.With("bench", d))
 	}
-	sys, err := hcapp.Build(cfg, combo, hcapp.BuildOptions{
-		Scheme:      hcapp.HCAPPScheme(),
-		TargetPower: hcapp.TargetPowerFor(hcapp.PackagePinLimit()),
-		Observer:    obs,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sys
+	return newHiHiSystem(tb, hcapp.BuildOptions{Observer: obs}), obs
 }
 
+// benchObserver is the telemetry observer under test.
 type benchObserver struct {
 	steps       *telemetry.Counter
 	pkg         *telemetry.Gauge
@@ -329,24 +324,43 @@ func (o *benchObserver) ObserveSteps(_, _ hcapp.Time, n int64, total float64, do
 }
 
 // BenchmarkEngineStepInstrumented is BenchmarkEngineStep with the live
-// telemetry observer attached; compare the two to price the hook. The
-// budget is < 8% overhead (TestInstrumentedStepOverhead enforces it).
+// telemetry observer attached; compare the two to price the hook.
+// TestInstrumentedStepOverhead gates the difference.
 func BenchmarkEngineStepInstrumented(b *testing.B) {
 	cfg := hcapp.DefaultConfig()
-	sys := newObservedSystem(b)
+	sys, _ := newObservedSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Engine.RunFor(cfg.TimeStep)
 	}
 }
 
-// TestInstrumentedStepOverhead measures instrumented vs uninstrumented
-// engine stepping back to back and fails if telemetry costs more than
-// 8% — the contract that lets hcapp-serve instrument every job. The
-// budget was 5% against the pre-SoA step loop; the loop is now ~40%
-// faster, so the hook's unchanged absolute cost (a counter bump plus
-// ten gauge stores) is a larger relative share even though instrumented
-// stepping is faster than it has ever been.
+// observerBudget is the telemetry observer's per-step budget, in
+// probes per step of the span (one probe ran 190–215 ns per step on
+// the reference two-core host). There the gated middle reading of
+// instrumented minus plain stepping is 0.11–0.28 probes, idle or
+// beside another test binary; the same observer with gauges that
+// store on every call, as they did before unchanged stores were
+// skipped, reads 0.33–0.74.
+const observerBudget = 0.30
+
+// TestInstrumentedStepOverhead gates the telemetry observer's per-step
+// cost — instrumented minus plain stepping — against a fixed budget,
+// the contract that lets hcapp-serve instrument every job. The budget
+// does not scale with the plain step, so a faster engine neither lets
+// the observer grow nor fails an observer that stayed the same, as the
+// relative 8% budget this replaces did: it tightened with every
+// base-step speedup.
+//
+// One engine is timed with the observer attached and detached
+// (Engine.SetObserver) in 301 alternating pairs, so the detached side
+// is plain stepping — no sample stores, no hook call — and heap layout,
+// which alone moves a separately built engine's step time by up to
+// ~3%, more than the observer costs, is the same on both sides. The
+// gate reads the median over pairs of (instrumented − plain) / probe
+// time, where the probe is the one the ledger guard below uses, three
+// times over; the middle reading is gated, so one host burst neither
+// fails the observer nor lets a costlier one through.
 func TestInstrumentedStepOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
@@ -354,23 +368,22 @@ func TestInstrumentedStepOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the telemetry ops being priced")
 	}
-	cfg := hcapp.DefaultConfig()
-	combo, err := hcapp.ComboByName("Hi-Hi")
-	if err != nil {
-		t.Fatal(err)
+	sys, obs := newObservedSystem(t)
+	warmUp(sys)
+	var costs [3]float64
+	for i := range costs {
+		p := pairedSteps(
+			func() { sys.Engine.SetObserver(nil); sys.Engine.RunFor(pairSpan) },
+			func() { sys.Engine.SetObserver(obs); sys.Engine.RunFor(pairSpan) })
+		costs[i] = p.cost()
+		t.Logf("median trial: plain %v, instrumented %v, probe %v", p.median(p.a), p.median(p.b), p.median(p.probe))
+		t.Logf("observer cost %.3f probes (≈%.0f ns/step at this host's %.0f ns/step probe), %.1f%% of a plain step",
+			costs[i], costs[i]*p.probeNsPerStep(), p.probeNsPerStep(), 100*(p.ratio()-1))
 	}
-	base, err := hcapp.Build(cfg, combo, hcapp.BuildOptions{
-		Scheme:      hcapp.HCAPPScheme(),
-		TargetPower: hcapp.TargetPowerFor(hcapp.PackagePinLimit()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := newObservedSystem(t)
-	ratio, tBase, tInst := pairedStepRatio(t, base, inst)
-	t.Logf("median trial: uninstrumented %v, instrumented %v; median pair ratio %.3f", tBase, tInst, ratio)
-	if ratio > 1.08 {
-		t.Errorf("telemetry overhead %.1f%% exceeds the 8%% budget", 100*(ratio-1))
+	requirePerStep(t, sys)
+	slices.Sort(costs[:])
+	if costs[1] > observerBudget {
+		t.Errorf("telemetry observer costs %.3f probes per step (median of %v), over its %.2f budget", costs[1], costs, observerBudget)
 	}
 }
 
@@ -378,25 +391,12 @@ func TestInstrumentedStepOverhead(t *testing.T) {
 // energy-attribution ledger attached (unit meters on, per-step
 // activity-share split and ground-truth integration).
 func newEnergyTrackedSystem(tb testing.TB) *hcapp.System {
-	cfg := hcapp.DefaultConfig()
-	combo, err := hcapp.ComboByName("Hi-Hi")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sys, err := hcapp.Build(cfg, combo, hcapp.BuildOptions{
-		Scheme:      hcapp.HCAPPScheme(),
-		TargetPower: hcapp.TargetPowerFor(hcapp.PackagePinLimit()),
-		TrackEnergy: true,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sys
+	return newHiHiSystem(tb, hcapp.BuildOptions{TrackEnergy: true})
 }
 
 // BenchmarkEngineStepEnergyLedger is BenchmarkEngineStep with the energy
-// ledger attached; compare the two to price per-step attribution. The
-// budget is < 8% overhead (TestEnergyLedgerStepOverhead enforces it).
+// ledger attached; compare the two to price per-step attribution.
+// TestEnergyLedgerStepOverhead gates the difference.
 func BenchmarkEngineStepEnergyLedger(b *testing.B) {
 	cfg := hcapp.DefaultConfig()
 	sys := newEnergyTrackedSystem(b)
@@ -412,9 +412,10 @@ func BenchmarkEngineStepEnergyLedger(b *testing.B) {
 // budget does not scale with the plain step: a faster engine must not
 // let the ledger grow, nor fail a ledger that stayed the same.
 //
-// Each of the 101 pairs also runs hostProbe, a fixed workload, and the
-// gate reads the median over pairs of (tracked − plain) / probe time,
-// so host speed cancels as it does in a time ratio. The budget is one
+// Each of the 301 pairs also runs the host probe (internal/hostprobe),
+// a fixed workload, and the gate reads the median over pairs of
+// (tracked − plain) / probe time, so host speed cancels as it does in
+// a time ratio. The budget is one
 // probe — 100–210 ns per step of the timed span on the reference
 // two-core host, by its load — which the ledger as it stood before its
 // meters were read in place exceeded (1.2–1.5 probes).
@@ -425,107 +426,20 @@ func TestEnergyLedgerStepOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the ledger ops being priced")
 	}
-	cfg := hcapp.DefaultConfig()
-	combo, err := hcapp.ComboByName("Hi-Hi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := hcapp.Build(cfg, combo, hcapp.BuildOptions{
-		Scheme:      hcapp.HCAPPScheme(),
-		TargetPower: hcapp.TargetPowerFor(hcapp.PackagePinLimit()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracked := newEnergyTrackedSystem(t)
-	p := pairedSteps(t, base, tracked, newHostProbe().run)
-	cost := make([]float64, len(p.a))
-	for i := range cost {
-		cost[i] = (p.b[i] - p.a[i]).Seconds() / p.probe[i].Seconds()
-	}
-	slices.Sort(cost)
-	median := cost[len(cost)/2]
-	steps := float64(pairSpan / cfg.TimeStep)
-	probeNs := float64(p.median(p.probe).Nanoseconds()) / steps
+	base, tracked := newHiHiSystem(t, hcapp.BuildOptions{}), newEnergyTrackedSystem(t)
+	warmUp(base, tracked)
+	p := pairedSteps(func() { base.Engine.RunFor(pairSpan) }, func() { tracked.Engine.RunFor(pairSpan) })
+	requirePerStep(t, base, tracked)
+	cost := p.cost()
 	t.Logf("median trial: plain %v, energy-tracked %v, probe %v", p.median(p.a), p.median(p.b), p.median(p.probe))
 	t.Logf("ledger cost %.3f of the budget (≈%.0f ns/step at this host's %.0f ns/step probe), %.1f%% of a plain step",
-		median, median*probeNs, probeNs, 100*(p.ratio()-1))
-	if median > 1 {
-		t.Errorf("energy-ledger cost %.3f× its budget (one hostProbe per step)", median)
+		cost, cost*p.probeNsPerStep(), p.probeNsPerStep(), 100*(p.ratio()-1))
+	if cost > 1 {
+		t.Errorf("energy-ledger cost %.3f× its budget (one probe per step)", cost)
 	}
 	if tracked.Energy == nil || tracked.Energy.Summary().TotalJ <= 0 {
 		t.Error("energy-tracked system integrated no energy")
 	}
-}
-
-// hostProbeSteps sizes hostProbe, and with it the ledger's budget.
-const hostProbeSteps = 1300
-
-// hostProbe is the ledger guard's yardstick: a frozen copy of the
-// ledger's per-step work — read 8-, 15- and 1-unit meters through
-// their unit pointers, then integrate true power and split the domain
-// energy by activity share — over fixed synthetic samples. It is code
-// of the same shape as what it measures, so a host state that slows
-// the ledger's loads and dependent float chains slows the probe alike,
-// and it never changes with the code under test.
-type hostProbe struct {
-	slots []probeSlot
-	sink  float64
-}
-
-type probeUnit struct{ act, watts float64 }
-
-type probeSlot struct {
-	units             []*probeUnit
-	act, pwr, att, gt []float64
-	domainJ, watts    float64
-}
-
-func newHostProbe() *hostProbe {
-	p := &hostProbe{}
-	for k, n := range []int{8, 15, 1} {
-		st := probeSlot{watts: 20 + float64(k)}
-		for u := 0; u < n; u++ {
-			st.units = append(st.units, &probeUnit{act: 0.1 + 0.05*float64(u%7), watts: 0.5 + 0.1*float64(u%5)})
-		}
-		st.act, st.pwr = make([]float64, n), make([]float64, n)
-		st.att, st.gt = make([]float64, n), make([]float64, n)
-		p.slots = append(p.slots, st)
-	}
-	return p
-}
-
-func (p *hostProbe) run() {
-	const sec = 1e-7
-	for step := 0; step < hostProbeSteps; step++ {
-		for k := range p.slots {
-			st := &p.slots[k]
-			for u, un := range st.units {
-				st.act[u] = un.act
-				st.pwr[u] = un.watts
-			}
-		}
-		for k := range p.slots {
-			st := &p.slots[k]
-			ej := st.watts * sec
-			st.domainJ += ej
-			actSum := 0.0
-			for u := range st.act {
-				actSum += st.act[u]
-				st.gt[u] += st.pwr[u] * sec
-			}
-			last := len(st.act) - 1
-			assigned := 0.0
-			inv := ej / actSum
-			for u := 0; u < last; u++ {
-				e := st.act[u] * inv
-				st.att[u] += e
-				assigned += e
-			}
-			st.att[last] += ej - assigned
-		}
-	}
-	p.sink += p.slots[1].att[0]
 }
 
 // pairSpan is the simulated time of each timed trial in pairedSteps.
@@ -546,6 +460,22 @@ func (p stepPairs) ratio() float64 {
 	return r[len(r)/2]
 }
 
+// cost returns the median over pairs of (b − a) / probe: what b adds
+// to a, in probes per step of the span.
+func (p stepPairs) cost() float64 {
+	c := make([]float64, len(p.a))
+	for i := range c {
+		c[i] = (p.b[i] - p.a[i]).Seconds() / p.probe[i].Seconds()
+	}
+	slices.Sort(c)
+	return c[len(c)/2]
+}
+
+// probeNsPerStep returns the median probe time per step of the span.
+func (p stepPairs) probeNsPerStep() float64 {
+	return float64(p.median(p.probe).Nanoseconds()) / float64(pairSpan/hcapp.DefaultConfig().TimeStep)
+}
+
 // median returns the median of one variant's trial times.
 func (p stepPairs) median(d []time.Duration) time.Duration {
 	d = slices.Clone(d)
@@ -553,42 +483,21 @@ func (p stepPairs) median(d []time.Duration) time.Duration {
 	return d[len(d)/2]
 }
 
-// pairedStepRatio returns the median of the per-pair time ratios b/a,
-// with each system's median trial time for the log.
-func pairedStepRatio(t *testing.T, a, b *hcapp.System) (ratio float64, medA, medB time.Duration) {
-	p := pairedSteps(t, a, b, nil)
-	return p.ratio(), p.median(p.a), p.median(p.b)
-}
-
-// pairedSteps times the two systems' stepping in 101 short alternating
-// trials of pairSpan each, and, when probe is not nil, one probe call
-// after each pair. Short pairs put both variants under the same host
-// conditions, alternating which one goes first cancels any order
-// effect, and a median over pairs ignores the pairs a burst of
-// contention split unevenly.
-//
-// The overhead tests run Hi-Hi under HCAPP, which never strides (the
-// controller re-commands the rail every 1 µs period), so they price
-// the observer's per-step path — one ObserveSteps call per step — with
-// the budgets set before observers could stride; the guard below keeps
-// that true.
-func pairedSteps(t *testing.T, a, b *hcapp.System, probe func()) stepPairs {
-	const (
-		warmup = 2 * hcapp.Millisecond
-		pairs  = 101
-	)
-	// Warm-up pass faults in code and sizes trace buffers.
-	a.Engine.RunFor(warmup)
-	b.Engine.RunFor(warmup)
-	timed := func(s *hcapp.System) time.Duration {
+// pairedSteps times a and b — each steps a system through pairSpan —
+// in 301 short alternating trials, with one host probe run after each
+// pair. Short pairs put both variants under the same host conditions,
+// alternating which one goes first cancels any order effect, and a
+// median over pairs ignores the pairs a burst of contention split
+// unevenly.
+func pairedSteps(a, b func()) stepPairs {
+	const pairs = 301
+	probe := hostprobe.New()
+	timed := func(run func()) time.Duration {
 		start := time.Now()
-		s.Engine.RunFor(pairSpan)
+		run()
 		return time.Since(start)
 	}
-	p := stepPairs{a: make([]time.Duration, pairs), b: make([]time.Duration, pairs)}
-	if probe != nil {
-		p.probe = make([]time.Duration, pairs)
-	}
+	p := stepPairs{a: make([]time.Duration, pairs), b: make([]time.Duration, pairs), probe: make([]time.Duration, pairs)}
 	for i := 0; i < pairs; i++ {
 		if i%2 == 0 {
 			p.a[i] = timed(a)
@@ -597,16 +506,30 @@ func pairedSteps(t *testing.T, a, b *hcapp.System, probe func()) stepPairs {
 			p.b[i] = timed(b)
 			p.a[i] = timed(a)
 		}
-		if probe != nil {
-			start := time.Now()
-			probe()
-			p.probe[i] = time.Since(start)
-		}
-	}
-	if a.Engine.StridedSteps() != 0 || b.Engine.StridedSteps() != 0 {
-		t.Fatal("timed workload strides: the overhead budgets price per-step observation")
+		p.probe[i] = timed(probe.Run)
 	}
 	return p
+}
+
+// warmUp steps each system 2 ms, faulting in code and sizing trace
+// buffers before timing.
+func warmUp(systems ...*hcapp.System) {
+	for _, s := range systems {
+		s.Engine.RunFor(2 * hcapp.Millisecond)
+	}
+}
+
+// requirePerStep fails unless the timed systems stepped one step at a
+// time. The overhead tests run Hi-Hi under HCAPP, which never strides
+// (the controller re-commands the rail every 1 µs period), so they
+// price the per-step path — one ObserveSteps call per step.
+func requirePerStep(t *testing.T, systems ...*hcapp.System) {
+	t.Helper()
+	for _, s := range systems {
+		if s.Engine.StridedSteps() != 0 {
+			t.Fatal("timed workload strides: the overhead budgets price per-step observation")
+		}
+	}
 }
 
 // BenchmarkEvaluatorRun measures one full combo simulation at a 1 ms

@@ -69,6 +69,7 @@ type unit struct {
 	spec      UnitSpec
 	cursor    *workload.Cursor
 	ratio     float64
+	op        opPoint
 	accInstr  float64
 	accCycles float64
 	accAct    float64
@@ -115,6 +116,21 @@ const vtabSize = 8
 type vpoint struct {
 	key     uint64
 	f, leak float64
+}
+
+// opPoint is a unit's operating point: every float a step computes for
+// the unit while its phase outlasts the step, as a pure function of the
+// key — the cursor's phase index, the bits of the local voltage, and dt.
+// The model, VoltageMargin and the traces are fixed at New, so a point
+// is exact for as long as its key holds, across Reset too.
+type opPoint struct {
+	phase int
+	vkey  uint64
+	dt    sim.Time
+	// f and leak are at(vlocal); ips, done and act are the cursor's
+	// InPhase values at f; up = Dynamic(vlocal, f, act) + leak is the
+	// unit's power and cycles = f·dtSec its epoch cycle count.
+	f, leak, ips, done, act, up, cycles float64
 }
 
 // New builds a chiplet. Local controllers may be nil (no level-3
@@ -167,6 +183,7 @@ func New(cfg Config) (*Chiplet, error) {
 			spec:   us,
 			cursor: workload.NewCursor(us.Trace, us.StartPhase),
 			ratio:  ratioOf(us.Local),
+			op:     opPoint{phase: -1}, // matches no key
 		})
 	}
 	return c, nil
@@ -268,29 +285,41 @@ func (c *Chiplet) Step(now sim.Time, dt sim.Time, vdd float64) sim.StepResult {
 			ratio = c.cfg.ThermalThrottleRatio
 		}
 		vlocal := vdd * ratio
-		f, leak := c.at(vlocal)
 
-		var act float64
+		var act, up float64
 		if finished {
 			// Work exhausted: the chiplet idles at its floor activity
 			// (clock gating), still leaking.
+			f, leak := c.at(vlocal)
 			act = m.IdleAct
+			up = m.Dynamic(vlocal, f, act) + leak
 		} else {
-			out := u.cursor.Step(dt, f, m.DVFS.FMax)
-			totalInstr += out.Instr
-			act = out.Activity
+			if !u.holds(vlocal, dt) {
+				c.fill(u, vlocal, dt)
+			}
+			op := &u.op
+			instr := op.done
+			if u.cursor.StepWithin(op.ips, op.done, dtSec) {
+				act, up = op.act, op.up
+			} else {
+				// The step reaches a phase boundary, or the point has no
+				// in-phase rate: the cursor walks it.
+				out := u.cursor.Step(dt, op.f, m.DVFS.FMax)
+				instr, act = out.Instr, out.Activity
+				up = m.Dynamic(vlocal, op.f, act) + op.leak
+			}
+			totalInstr += instr
 			// Epoch accumulators feed only the level-3 controller; a
 			// unit without one would write them forever and read them
 			// never, so skip the stores on the hot path.
 			if u.spec.Local != nil {
-				u.accInstr += out.Instr
-				u.accCycles += f * dtSec
+				u.accInstr += instr
+				u.accCycles += op.cycles
 				u.accAct += act
 				u.accSteps++
 			}
 		}
 
-		up := m.Dynamic(vlocal, f, act) + leak
 		totalPower += up
 		actSum += act
 		if c.meterOn {
@@ -352,20 +381,22 @@ func (c *Chiplet) Step(now sim.Time, dt sim.Time, vdd float64) sim.StepResult {
 const steadyMargin = 8
 
 // SteadyFor implements sim.BulkStepper: the number of future steps at
-// constant vdd guaranteed to reproduce the last Step bitwise. It
-// recomputes the next step's power operation-for-operation from the
-// current state and demands it match lastPower exactly — catching the
-// one-step transitions (a unit finishing, an epoch retune) the caller's
-// cheaper invariants cannot see; with the unit meter on, each unit's
-// sample must match too — and bounds the stride conservatively
-// before every internal event: local-controller epochs, workload phase
-// boundaries, and work-pool completion. Chiplets with a thermal node
-// never stride (the RC network integrates every step).
+// constant vdd guaranteed to reproduce the last Step bitwise. It sums
+// the next step's power from each unit's operating point — the floats
+// Step's in-phase path uses, in Step's order — and demands it match
+// lastPower exactly, catching the one-step transitions (a unit
+// finishing, an epoch retune) the caller's cheaper invariants cannot
+// see; with the unit meter on, each unit's sample must match too. It
+// bounds the stride conservatively before every internal event:
+// local-controller epochs, workload phase boundaries, and work-pool
+// completion. Chiplets with a thermal node never stride (the RC network
+// integrates every step).
 func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 	if c.therm != nil {
 		return 0
 	}
 	m := &c.cfg.Model
+	dtSec := sim.Seconds(dt)
 	finished := c.Done()
 	n := int64(1 << 62)
 	totalPower := 0.0
@@ -381,22 +412,25 @@ func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 			}
 		}
 		vlocal := vdd * u.ratio
-		f, leak := c.at(vlocal)
-		var act float64
+		var act, up float64
 		if finished {
+			f, leak := c.at(vlocal)
 			act = m.IdleAct
+			up = m.Dynamic(vlocal, f, act) + leak
 		} else {
-			k, instr, a := u.cursor.SteadySteps(dt, f, m.DVFS.FMax)
-			if k < n {
+			if !u.holds(vlocal, dt) {
+				c.fill(u, vlocal, dt)
+			}
+			op := &u.op
+			if k := u.cursor.InPhaseSteps(op.ips, op.done, dtSec); k < n {
 				n = k
 			}
 			if n <= 0 {
 				return 0
 			}
-			totalInstr += instr
-			act = a
+			totalInstr += op.done
+			act, up = op.act, op.up
 		}
-		up := m.Dynamic(vlocal, f, act) + leak
 		// With the unit meter on, the per-unit samples an observer reads
 		// after a stride must be the last step's too.
 		if c.meterOn && (act != c.meterAct[i] || up != c.meterPower[i]) {
@@ -427,30 +461,32 @@ func (c *Chiplet) SteadyFor(now sim.Time, dt sim.Time, vdd float64) int64 {
 }
 
 // StepN implements sim.BulkStepper: replays n steady steps verified by
-// SteadyFor. Every per-step accumulation is repeated n times with the
-// identical floating-point operation Step performs, so the state after
-// the replay is bitwise what n real steps would have left. The chains
-// run side by side in loops over locals, so the replay costs about one
-// dependent add per step per loop rather than one per chain: a unit
-// with a local controller replays its cursor's remaining work and its
-// three epoch accumulators in one loop, and units without one replay
-// their remaining work four units to a loop.
+// SteadyFor. Every per-step accumulation is repeated n times on the
+// operating point's floats with the identical floating-point operation
+// Step performs, so the state after the replay is bitwise what n real
+// steps would have left. The chains run side by side in loops over
+// locals, so the replay costs about one dependent add per step per loop
+// rather than one per chain: a unit with a local controller replays its
+// cursor's remaining work and its three epoch accumulators in one loop,
+// and units without one replay their remaining work four units to a
+// loop.
 func (c *Chiplet) StepN(now sim.Time, dt sim.Time, vdd float64, n int64) {
 	if c.Done() {
 		return
 	}
-	dtSec := sim.Seconds(dt)
-	fmax := c.cfg.Model.DVFS.FMax
 	totalInstr := 0.0
 	var batch [4]*unit
 	var dec [4]float64
 	k := 0
 	for _, u := range c.units {
-		f, _ := c.at(vdd * u.ratio)
+		if vlocal := vdd * u.ratio; !u.holds(vlocal, dt) {
+			c.fill(u, vlocal, dt)
+		}
+		op := &u.op
 		// instr is zero when the unit cannot clock or its phase stalls;
 		// Step then leaves the cursor alone, and subtracting zero leaves
 		// every float bitwise as it was.
-		_, instr, act := u.cursor.SteadySteps(dt, f, fmax)
+		instr, act, cycles := op.done, op.act, op.cycles
 		totalInstr += instr
 		if u.spec.Local == nil {
 			batch[k], dec[k] = u, instr
@@ -461,7 +497,6 @@ func (c *Chiplet) StepN(now sim.Time, dt sim.Time, vdd float64, n int64) {
 			continue
 		}
 		rem := u.cursor.Remaining()
-		cycles := f * dtSec
 		ai, ac, aa := u.accInstr, u.accCycles, u.accAct
 		for i := int64(0); i < n; i++ {
 			rem -= instr
@@ -501,6 +536,27 @@ func replayRemaining(units []*unit, dec [4]float64, n int64) {
 	for i, u := range units {
 		u.cursor.SetRemaining(r[i])
 	}
+}
+
+// holds reports whether unit u's operating point is keyed on its
+// current phase, local voltage vlocal and step dt. Callers fill the point
+// when it does not.
+func (u *unit) holds(vlocal float64, dt sim.Time) bool {
+	p := &u.op
+	return p.vkey == math.Float64bits(vlocal) && p.phase == u.cursor.PhaseIndex() && p.dt == dt
+}
+
+// fill evaluates unit u's operating point afresh at local voltage vlocal
+// and step dt, operation for operation as Step does along the in-phase
+// path.
+func (c *Chiplet) fill(u *unit, vlocal float64, dt sim.Time) {
+	m := &c.cfg.Model
+	p := &u.op
+	p.phase, p.vkey, p.dt = u.cursor.PhaseIndex(), math.Float64bits(vlocal), dt
+	p.f, p.leak = c.at(vlocal)
+	p.ips, p.done, p.act = u.cursor.InPhase(dt, p.f, m.DVFS.FMax)
+	p.up = m.Dynamic(vlocal, p.f, p.act) + p.leak
+	p.cycles = p.f * sim.Seconds(dt)
 }
 
 // at returns the clock frequency and the leakage at local voltage v:

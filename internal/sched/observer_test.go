@@ -117,3 +117,28 @@ func TestObserverZeroAllocSteps(t *testing.T) {
 		t.Fatalf("observed step allocates %.1f/op", allocs)
 	}
 }
+
+// TestSetObserverAttachDetach: an observer attached mid-run sees every
+// later step with named, consistent samples, and a detached one sees
+// none.
+func TestSetObserverAttachDetach(t *testing.T) {
+	eng := observedEngine(t, nil)
+	eng.RunFor(2 * sim.Microsecond)
+	obs := &recordingObserver{}
+	eng.SetObserver(obs)
+	eng.RunFor(3 * sim.Microsecond)
+	if want := int64(3 * sim.Microsecond / dt); obs.steps != want {
+		t.Fatalf("attached observer saw %d steps, want %d", obs.steps, want)
+	}
+	if len(obs.domains) != 2 || obs.domains[0] != "cpu" || obs.domains[1] != "gpu" {
+		t.Fatalf("observed domains = %v", obs.domains)
+	}
+	if !obs.powerOK {
+		t.Fatal("per-domain powers do not sum to the observed total")
+	}
+	eng.SetObserver(nil)
+	eng.RunFor(sim.Microsecond)
+	if obs.steps != int64(3*sim.Microsecond/dt) {
+		t.Fatalf("detached observer saw %d steps", obs.steps)
+	}
+}

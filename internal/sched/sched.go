@@ -178,6 +178,9 @@ type Engine struct {
 	// obsBuf is the reusable per-step sample buffer handed to the
 	// observer (names prefilled at construction; zero allocs per step).
 	obsBuf []DomainSample
+	// obsIdle keeps a detached observer's buffer for the next
+	// SetObserver.
+	obsIdle []DomainSample
 	// lastGoodSense is when the sensing path last received a real
 	// sample (fault injection drops age the reading).
 	lastGoodSense sim.Time
@@ -247,11 +250,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg}
 	if cfg.Observer != nil {
-		e.obsBuf = make([]DomainSample, len(cfg.Slots))
-		for i, s := range cfg.Slots {
-			e.obsBuf[i].Domain = s.Domain.Name()
-			e.obsBuf[i].Component = s.Comp.Name()
-		}
+		e.obsBuf = e.newObsBuf()
 	}
 	if cfg.Supervisor != nil {
 		if cfg.Supervisor.Period() <= 0 {
@@ -723,6 +722,41 @@ func (e *Engine) stride(n int64) {
 	e.stridedSteps += n
 	if cfg.Observer != nil {
 		cfg.Observer.ObserveSteps(first, dt, n, e.lastTotal, e.obsBuf)
+	}
+}
+
+// newObsBuf returns the observer's sample buffer with the slot names
+// filled in.
+func (e *Engine) newObsBuf() []DomainSample {
+	buf := make([]DomainSample, len(e.cfg.Slots))
+	for i, s := range e.cfg.Slots {
+		buf[i].Domain = s.Domain.Name()
+		buf[i].Component = s.Comp.Name()
+	}
+	return buf
+}
+
+// SetObserver replaces the step observer between runs; nil detaches
+// it, so stepping does no observation work at all. An observer
+// attached mid-run first sees the last step's samples.
+func (e *Engine) SetObserver(obs StepObserver) {
+	e.cfg.Observer = obs
+	if obs == nil {
+		if e.obsBuf != nil {
+			e.obsIdle, e.obsBuf = e.obsBuf, nil
+		}
+		return
+	}
+	if e.obsBuf != nil {
+		return
+	}
+	e.obsBuf = e.obsIdle
+	if e.obsBuf == nil {
+		e.obsBuf = e.newObsBuf()
+	}
+	for i := range e.obsBuf {
+		e.obsBuf[i].Power = e.pw[i]
+		e.obsBuf[i].Voltage = e.vdom[i]
 	}
 }
 

@@ -1,15 +1,21 @@
 package sched_test
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"hcapp/internal/config"
 	"hcapp/internal/experiment"
+	"hcapp/internal/hostprobe"
 	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 )
@@ -234,23 +240,56 @@ func TestObservedEngineStrides(t *testing.T) {
 	}
 }
 
-// benchStep is the BENCH_step.json schema: the headline hot-path
-// numbers the CI bench stage publishes.
-type benchStep struct {
-	NsPerStep       float64 `json:"ns_per_step"`
-	AllocsPerStep   float64 `json:"allocs_per_step"`
-	StrideSpeedup   float64 `json:"adaptive_speedup"`
-	StridedFraction float64 `json:"strided_fraction"`
-	Steps           int64   `json:"steps"`
+// benchRow is one row of BENCH_step.json, the stride gate's history:
+// the CI bench stage appends one per run (docs/PERF.md has the schema).
+type benchRow struct {
+	Commit           string  `json:"commit"`
+	FixedNsPerStep   float64 `json:"fixed_ns_per_step"`
+	StridedNsPerStep float64 `json:"strided_ns_per_step"`
+	ProbeNs          float64 `json:"probe_ns"`
+	StridedFraction  float64 `json:"strided_fraction"`
+	Steps            int64   `json:"steps"`
+	AllocsPerStep    float64 `json:"allocs_per_step"`
 }
 
-// TestStrideSpeedupGate is the headline performance gate: on the
-// Fig. 5 suite's Burst-Burst workload at a fixed rail, the striding
-// engine must complete the identical run at least 5× faster than the
-// fixed-step reference (measured 6–7× on the reference host), the
-// fixed-step loop must not allocate in steady state, and the two traces
-// must be bit for bit equal. When HCAPP_BENCH_JSON names a path, the
-// measured numbers are written there as the CI bench artifact.
+// The stride gate's bounds. Step times are stated at the reference
+// host's speed: each trial's ns/step is scaled by refProbeNs over the
+// median time of one host probe run (internal/hostprobe) timed in the
+// same trial, so host speed cancels as it does in a time ratio.
+const (
+	// gateStridedFloor is the gate workload's strided fraction. It is
+	// deterministic, so it is an exact floor: a change that strides
+	// less on the gate workload fails.
+	gateStridedFloor = 0.8863921742146111
+	// refProbeNs is one host probe run on the reference two-core host.
+	refProbeNs = 200_000
+	// fixedStepBudget and stridedStepBudget bound the fixed-step and
+	// the strided run's ns/step at the reference probe speed. They sit
+	// about 30% above the engine before per-unit operating points
+	// (fixed 916–1096, strided 136–161 on the reference host, idle and
+	// beside another test binary), which the engine now beats by more
+	// than 2× and 1.3× (358–473, 87–105). An engine that does not
+	// stride reads its fixed-step cost on the strided side and fails.
+	fixedStepBudget   = 1400
+	stridedStepBudget = 200
+)
+
+// TestStrideSpeedupGate is the headline performance gate, on the Fig. 5
+// suite's Burst-Burst workload at a fixed rail:
+//
+//   - the striding engine strides at least gateStridedFloor of its
+//     steps;
+//   - the fixed-step reference and the striding engine each complete
+//     the run within their ns/step budgets, normalised by the host
+//     probe timed inside the same trials;
+//   - the fixed-step loop does not allocate in steady state;
+//   - the two traces are bit for bit equal.
+//
+// It replaces a fixed ÷ strided ≥ 5× ratio gate, which failed a
+// strictly faster engine: a cheaper step shrinks both sides, and the
+// fixed side more. When HCAPP_BENCH_JSON names a file, the measured
+// row is appended to the JSON array there (the CI bench history), with
+// HCAPP_BENCH_COMMIT as its commit.
 func TestStrideSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
@@ -258,68 +297,124 @@ func TestStrideSpeedupGate(t *testing.T) {
 	if sched.RaceEnabled {
 		t.Skip("race instrumentation distorts both sides of the gate")
 	}
-	const dur = 16 * sim.Millisecond
+	const (
+		dur         = 16 * sim.Millisecond
+		trials      = 9
+		probeRepeat = 40
+	)
 	fixed, strided := paired(func() *experiment.System { return buildSystem(t, "Burst-Burst", fixedRail, dur, nil, false) })
 
-	// Interleaved best-of-N: Reset is byte-identical (see the reset
-	// audit), so the same two systems are re-run rather than rebuilt,
-	// keeping heap layout constant across trials.
+	// Interleaved trials: Reset is byte-identical (see the reset audit),
+	// so the same two systems are re-run rather than rebuilt, keeping
+	// heap layout constant across trials.
+	probe := hostprobe.New()
+	timed := func(run func()) time.Duration {
+		start := time.Now()
+		run()
+		return time.Since(start)
+	}
 	var rf, rs sched.Result
-	bestFixed, bestStrided := time.Duration(1<<62), time.Duration(1<<62)
-	var allocsPerStep float64
-	for trial := 0; trial < 4; trial++ {
+	var tf, ts, tp [trials]time.Duration
+	var mallocs uint64
+	var fixedSteps int64
+	runFixed := func() {
 		fixed.Engine.Reset()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		start := time.Now()
 		rf = fixed.Engine.Run(2 * dur)
-		d := time.Since(start)
 		runtime.ReadMemStats(&m1)
-		if d < bestFixed {
-			bestFixed = d
-			// Mallocs is monotonic (GC never decrements it), so the delta
-			// is exactly the allocation count of the timed run. The
-			// once-per-run Result/Completion allocations are amortized
-			// over ~10^5 steps and must round to zero per step.
-			allocsPerStep = float64(m1.Mallocs-m0.Mallocs) / float64(fixed.Engine.Steps())
-		}
+		// Mallocs is monotonic (GC never decrements it), so the delta
+		// is the run's allocation count. The once-per-run Result and
+		// Completion allocations amortize over ~10^5 steps and must
+		// round to zero per step.
+		mallocs += m1.Mallocs - m0.Mallocs
+		fixedSteps += fixed.Engine.Steps()
+	}
+	runStrided := func() {
 		strided.Engine.Reset()
-		start = time.Now()
 		rs = strided.Engine.Run(2 * dur)
-		if d := time.Since(start); d < bestStrided {
-			bestStrided = d
+	}
+	for i := 0; i < trials; i++ {
+		if i%2 == 0 {
+			tf[i] = timed(runFixed)
+			ts[i] = timed(runStrided)
+		} else {
+			ts[i] = timed(runStrided)
+			tf[i] = timed(runFixed)
 		}
+		tp[i] = timed(func() {
+			for k := 0; k < probeRepeat; k++ {
+				probe.Run()
+			}
+		}) / probeRepeat
 	}
 	requireIdenticalTraces(t, "Burst-Burst", fixed, strided, rf, rs)
 
 	steps := fixed.Engine.Steps()
-	out := benchStep{
-		NsPerStep:       float64(bestFixed.Nanoseconds()) / float64(steps),
-		AllocsPerStep:   allocsPerStep,
-		StrideSpeedup:   bestFixed.Seconds() / bestStrided.Seconds(),
-		StridedFraction: float64(strided.Engine.StridedSteps()) / float64(strided.Engine.Steps()),
-		Steps:           steps,
+	var fixedNorm, stridedNorm [trials]float64
+	for i := range tf {
+		scale := refProbeNs / float64(tp[i].Nanoseconds())
+		fixedNorm[i] = float64(tf[i].Nanoseconds()) / float64(steps) * scale
+		stridedNorm[i] = float64(ts[i].Nanoseconds()) / float64(steps) * scale
 	}
-	t.Logf("fixed %v (%.0f ns/step, %.4f allocs/step), strided %v: %.1f× speedup, %.1f%% strided",
-		bestFixed, out.NsPerStep, out.AllocsPerStep, bestStrided,
-		out.StrideSpeedup, 100*out.StridedFraction)
+	row := benchRow{
+		Commit:           os.Getenv("HCAPP_BENCH_COMMIT"),
+		FixedNsPerStep:   float64(median(tf[:]).Nanoseconds()) / float64(steps),
+		StridedNsPerStep: float64(median(ts[:]).Nanoseconds()) / float64(steps),
+		ProbeNs:          float64(median(tp[:]).Nanoseconds()),
+		StridedFraction:  float64(strided.Engine.StridedSteps()) / float64(strided.Engine.Steps()),
+		Steps:            steps,
+		AllocsPerStep:    float64(mallocs) / float64(fixedSteps),
+	}
+	fixedCost, stridedCost := median(fixedNorm[:]), median(stridedNorm[:])
+	t.Logf("fixed %.0f ns/step, strided %.0f ns/step, probe %.0f ns: %.0f and %.0f ns/step at the reference probe speed (budgets %d, %d)",
+		row.FixedNsPerStep, row.StridedNsPerStep, row.ProbeNs, fixedCost, stridedCost, fixedStepBudget, stridedStepBudget)
+	t.Logf("%.4f allocs/step; %.16g strided (floor %.16g) of %d steps",
+		row.AllocsPerStep, row.StridedFraction, gateStridedFloor, steps)
 
 	if path := os.Getenv("HCAPP_BENCH_JSON"); path != "" {
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		if err := appendBenchRow(path, row); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if out.AllocsPerStep > 0.001 {
-		t.Errorf("steady-state step loop allocates: %.4f allocs/step, want 0", out.AllocsPerStep)
+	if row.AllocsPerStep > 0.001 {
+		t.Errorf("steady-state step loop allocates: %.4f allocs/step, want 0", row.AllocsPerStep)
 	}
-	if out.StrideSpeedup < 5 {
-		t.Errorf("stride speedup %.2f× below the 5× gate", out.StrideSpeedup)
+	if row.StridedFraction < gateStridedFloor {
+		t.Errorf("strided fraction %.16g below the gate workload's floor %.16g", row.StridedFraction, gateStridedFloor)
 	}
+	if fixedCost > fixedStepBudget {
+		t.Errorf("fixed stepping %.0f ns/step at the reference probe speed, over its %d budget", fixedCost, fixedStepBudget)
+	}
+	if stridedCost > stridedStepBudget {
+		t.Errorf("strided run %.0f ns/step at the reference probe speed, over its %d budget", stridedCost, stridedStepBudget)
+	}
+}
+
+// appendBenchRow appends row to the JSON array in path, creating it.
+func appendBenchRow(path string, row benchRow) error {
+	var rows []benchRow
+	buf, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(buf, &rows); err != nil {
+			return fmt.Errorf("bench history %s: %w", path, err)
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
+	buf, err = json.MarshalIndent(append(rows, row), "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+func median[T cmp.Ordered](x []T) T {
+	x = slices.Clone(x)
+	slices.Sort(x)
+	return x[len(x)/2]
 }
 
 // requireIdenticalResults fails unless two runs are bitwise equal in

@@ -33,7 +33,9 @@ func FuzzParseBenchmarks(f *testing.F) {
 
 // FuzzCursorStep checks the execution-model arithmetic: any phase the
 // validator accepts must step without NaNs, negative work, or activity
-// outside the physical envelope.
+// outside the physical envelope. A twin cursor stepping with InPhase and
+// StepWithin must match Step bit for bit whenever StepWithin takes the
+// step, and must be left untouched when it declines.
 func FuzzCursorStep(f *testing.F) {
 	f.Add(1e6, 1.5, 0.3, 0.6, 0.1, int64(1000), 1e9)
 	f.Add(10.0, 0.1, 0.0, 1.0, 0.0, int64(100), 1e8)
@@ -52,7 +54,20 @@ func FuzzCursorStep(f *testing.F) {
 		}
 		tr := &Trace{Name: "fuzz", Phases: []Phase{p}}
 		c := NewCursor(tr, 0)
+		twin := NewCursor(tr, 0)
 		out := c.Step(dt, freq, 2e9)
+		ips, done, act := twin.InPhase(dt, freq, 2e9)
+		dtSec := sim.Seconds(dt)
+		steady := twin.InPhaseSteps(ips, done, dtSec)
+		if twin.StepWithin(ips, done, dtSec) {
+			if math.Float64bits(out.Instr) != math.Float64bits(done) || math.Float64bits(out.Activity) != math.Float64bits(act) ||
+				math.Float64bits(c.Remaining()) != math.Float64bits(twin.Remaining()) {
+				t.Fatalf("in-phase step retired %v at activity %v leaving %v; Step %v at %v leaving %v",
+					done, act, twin.Remaining(), out.Instr, out.Activity, c.Remaining())
+			}
+		} else if steady > 0 || twin.Remaining() != p.Instr {
+			t.Fatalf("StepWithin declined after InPhaseSteps promised %d steps, leaving %v of %v", steady, twin.Remaining(), p.Instr)
+		}
 		if math.IsNaN(out.Instr) || out.Instr < 0 {
 			t.Fatalf("work = %g", out.Instr)
 		}
@@ -63,9 +78,6 @@ func FuzzCursorStep(f *testing.F) {
 		hi := math.Max(p.Activity, p.StallAct)
 		if out.Activity < lo-1e-9 || out.Activity > hi+1e-9 {
 			t.Fatalf("activity %g outside [%g,%g]", out.Activity, lo, hi)
-		}
-		if math.IsNaN(out.IPC) || out.IPC < 0 {
-			t.Fatalf("ipc = %g", out.IPC)
 		}
 	})
 }

@@ -17,6 +17,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"hcapp/internal/sim"
 )
@@ -67,23 +68,20 @@ func (p Phase) Slowdown(f, fmax float64) float64 {
 // IPS returns instructions per second at frequency f (fmax is the rated
 // maximum). Zero frequency executes nothing.
 func (p Phase) IPS(f, fmax float64) float64 {
-	s := p.Slowdown(f, fmax)
-	if s <= 0 {
-		return 0
-	}
-	return p.IPC * fmax * (1 - p.MemFrac) / s
+	ips, _ := p.rates(f, fmax)
+	return ips
 }
 
-// EffActivity returns the time-weighted switching activity at frequency
-// f: the stall fraction grows as frequency rises (stalls take the same
-// wall time while compute shrinks).
-func (p Phase) EffActivity(f, fmax float64) float64 {
+// rates returns IPS and the time-weighted switching activity eff at
+// frequency f from one Slowdown: the stall fraction grows as frequency
+// rises (stalls take the same wall time while compute shrinks).
+func (p *Phase) rates(f, fmax float64) (ips, eff float64) {
 	s := p.Slowdown(f, fmax)
 	if s <= 0 {
-		return p.StallAct
+		return 0, p.StallAct
 	}
 	stallFrac := p.MemFrac / s
-	return p.Activity*(1-stallFrac) + p.StallAct*stallFrac
+	return p.IPC * fmax * (1 - p.MemFrac) / s, p.Activity*(1-stallFrac) + p.StallAct*stallFrac
 }
 
 // DurationAtFmax returns the phase's wall-clock duration at maximum
@@ -167,7 +165,6 @@ func (t *Trace) AvgIPS(f, fmax float64) float64 {
 type StepOutcome struct {
 	Instr    float64 // instructions retired over the step
 	Activity float64 // time-weighted switching activity over the step
-	IPC      float64 // measured IPC over the step (retired / (f·dt))
 }
 
 // Cursor walks a trace, consuming work at the rate the supplied frequency
@@ -194,6 +191,10 @@ func NewCursor(t *Trace, startPhase int) *Cursor {
 // Phase returns the current phase.
 func (c *Cursor) Phase() Phase { return c.trace.Phases[c.idx] }
 
+// PhaseIndex returns the position of the current phase in the trace.
+// With the trace fixed, it names the phase InPhase reads.
+func (c *Cursor) PhaseIndex() int { return c.idx }
+
 // Step advances the cursor by dt at frequency f, crossing phase
 // boundaries as needed, and reports retired instructions and the
 // time-weighted activity over the step.
@@ -207,8 +208,8 @@ func (c *Cursor) Step(dt sim.Time, f, fmax float64) StepOutcome {
 	remainingTime := dtSec
 	actWeighted := 0.0
 	for remainingTime > 1e-18 {
-		p := c.trace.Phases[c.idx]
-		ips := p.IPS(f, fmax)
+		p := &c.trace.Phases[c.idx]
+		ips, eff := p.rates(f, fmax)
 		if ips <= 0 {
 			actWeighted += p.StallAct * remainingTime
 			remainingTime = 0
@@ -220,22 +221,21 @@ func (c *Cursor) Step(dt sim.Time, f, fmax float64) StepOutcome {
 			done := ips * remainingTime
 			c.remaining -= done
 			out.Instr += done
-			actWeighted += p.EffActivity(f, fmax) * remainingTime
+			actWeighted += eff * remainingTime
 			remainingTime = 0
 		} else {
 			// Finish the phase and move on.
 			out.Instr += c.remaining
-			actWeighted += p.EffActivity(f, fmax) * phaseTime
+			actWeighted += eff * phaseTime
 			remainingTime -= phaseTime
 			c.advance()
 		}
 	}
 	out.Activity = actWeighted / dtSec
-	out.IPC = out.Instr / (f * dtSec)
 	return out
 }
 
-// steadyMargin is how many steps SteadySteps holds back from a
+// steadyMargin is how many steps InPhaseSteps holds back from a
 // float-derived event bound. The phase-boundary estimate divides the
 // remaining work by the per-step retirement, while the replay subtracts
 // the per-step amount repeatedly; the two drift apart by at most a few
@@ -243,33 +243,63 @@ func (c *Cursor) Step(dt sim.Time, f, fmax float64) StepOutcome {
 // of whole steps keeps the stride strictly inside the phase.
 const steadyMargin = 8
 
-// SteadySteps reports how many consecutive Step(dt, f, fmax) calls are
-// guaranteed to stay inside the current phase and return bitwise
-// identical outcomes, along with the per-step Instr and Activity those
-// steps produce — computed operation-for-operation as Step computes
-// them. Zero means the next step may cross a phase boundary (or the
-// cursor is too close to one to stride safely). The f ≤ 0 and
-// stalled-phase cases mutate nothing and are steady indefinitely.
-func (c *Cursor) SteadySteps(dt sim.Time, f, fmax float64) (n int64, instr, act float64) {
+// InPhase returns what Step(dt, f, fmax) does when the current phase
+// outlasts the step, computed operation for operation as Step computes
+// it: the phase's instruction rate ips, the work done = ips·dtSec the
+// step retires, and the step's activity. The values depend only on the
+// phase, f and dt, so a caller may keep them for as long as those hold
+// and step with StepWithin. A unit that cannot clock (f ≤ 0) or whose
+// phase retires nothing gets ips = done = 0 and the stall activity Step
+// reports. A step too short for Step's loop to run (dtSec ≤ 1e-18) gets
+// ips = NaN, which StepWithin and InPhaseSteps never accept.
+func (c *Cursor) InPhase(dt sim.Time, f, fmax float64) (ips, done, act float64) {
 	dtSec := sim.Seconds(dt)
-	if f <= 0 {
-		return 1 << 62, 0, c.Phase().StallAct
+	p := &c.trace.Phases[c.idx]
+	switch {
+	case !(dtSec > 1e-18):
+		return math.NaN(), 0, 0
+	case f <= 0:
+		return 0, 0, p.StallAct
 	}
-	p := c.trace.Phases[c.idx]
-	ips := p.IPS(f, fmax)
+	ips, eff := p.rates(f, fmax)
 	if ips <= 0 {
-		return 1 << 62, 0, (p.StallAct * dtSec) / dtSec
+		return 0, 0, (0 + p.StallAct*dtSec) / dtSec
 	}
-	done := ips * dtSec
-	act = (p.EffActivity(f, fmax) * dtSec) / dtSec
-	if c.remaining/ips <= dtSec {
-		return 0, done, act
+	return ips, ips * dtSec, (0 + eff*dtSec) / dtSec
+}
+
+// StepWithin is Step for a caller holding the current phase's InPhase
+// values at the step's f and dt. If the phase outlasts the step — Step's
+// own test, remaining/ips > dtSec — it retires done exactly as Step
+// would and reports true; Step would have returned Instr = done and
+// Activity = InPhase's act. Otherwise it changes nothing and reports
+// false, and the caller must run Step. An ips of zero retires nothing
+// and always outlasts the step.
+func (c *Cursor) StepWithin(ips, done, dtSec float64) bool {
+	if c.remaining/ips > dtSec {
+		c.remaining -= done
+		return true
 	}
-	n = int64(c.remaining/done) - steadyMargin
+	return false
+}
+
+// InPhaseSteps reports how many consecutive StepWithin(ips, done, dtSec)
+// calls are guaranteed to succeed, each retiring done, holding back
+// steadyMargin steps from the float-derived bound. Zero means the next
+// step may reach the phase boundary. A unit that retires nothing
+// (ips = 0) is steady indefinitely.
+func (c *Cursor) InPhaseSteps(ips, done, dtSec float64) int64 {
+	if !(c.remaining/ips > dtSec) {
+		return 0
+	}
+	if ips == 0 {
+		return 1 << 62
+	}
+	n := int64(c.remaining/done) - steadyMargin
 	if n < 0 {
-		n = 0
+		return 0
 	}
-	return n, done, act
+	return n
 }
 
 // Remaining returns the instructions left in the current phase.
@@ -277,10 +307,10 @@ func (c *Cursor) Remaining() float64 { return c.remaining }
 
 // SetRemaining stores the instructions left in the current phase after a
 // caller's own replay of in-phase steps: starting from Remaining, it
-// subtracts SteadySteps' per-step instr once per step — the identical
-// subtraction Step performs — in a loop fused with its own accumulators.
-// The caller must bound the replay by SteadySteps so no replayed step
-// could have crossed a phase boundary.
+// subtracts InPhase's done once per step — the identical subtraction
+// Step performs — in a loop fused with its own accumulators. The caller
+// must bound the replay by InPhaseSteps so no replayed step could have
+// crossed a phase boundary.
 func (c *Cursor) SetRemaining(rem float64) { c.remaining = rem }
 
 func (c *Cursor) advance() {

@@ -86,13 +86,13 @@ func TestIPSMonotoneInFrequency(t *testing.T) {
 func TestEffActivityBounds(t *testing.T) {
 	p := validPhase()
 	for _, f := range []float64{2e8, 1e9, 2e9} {
-		a := p.EffActivity(f, 2e9)
+		_, a := p.rates(f, 2e9)
 		if a < p.StallAct-1e-12 || a > p.Activity+1e-12 {
-			t.Fatalf("EffActivity(%g) = %g outside [stall, compute]", f, a)
+			t.Fatalf("activity at %g Hz = %g outside [stall, compute]", f, a)
 		}
 	}
-	if got := p.EffActivity(0, 2e9); got != p.StallAct {
-		t.Fatalf("EffActivity(0) = %g, want stall activity", got)
+	if _, got := p.rates(0, 2e9); got != p.StallAct {
+		t.Fatalf("activity at 0 Hz = %g, want stall activity", got)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestEffActivityStallGrowsWithFrequency(t *testing.T) {
 	// At higher frequency the stall fraction of wall time grows, so
 	// effective activity falls toward the stall activity.
 	p := validPhase()
-	lo := p.EffActivity(5e8, 2e9)
-	hi := p.EffActivity(2e9, 2e9)
+	_, lo := p.rates(5e8, 2e9)
+	_, hi := p.rates(2e9, 2e9)
 	if hi >= lo {
 		t.Fatalf("stall weighting should grow with f: %g vs %g", lo, hi)
 	}
@@ -164,9 +164,6 @@ func TestCursorConsumesWork(t *testing.T) {
 	want := validPhase().IPS(2e9, 2e9) * 10e-6
 	if math.Abs(out.Instr-want)/want > 1e-9 {
 		t.Fatalf("retired %g instr, want %g", out.Instr, want)
-	}
-	if out.IPC <= 0 {
-		t.Fatal("measured IPC should be positive")
 	}
 }
 

@@ -39,17 +39,26 @@ go test -run TestEnergyLedgerStepOverhead -count=1 .
 go test -run TestFaultInjectionStepOverhead -count=1 ./internal/sched
 go test -run TestRunnerParallelSpeedup -count=1 ./internal/experiment
 
-# Hot-path bench gate: the stride speedup test enforces the headline
-# contracts (≥5× over the fixed-step reference on the Fig. 5 workload,
-# zero allocations per steady-state step, bitwise-identical traces) and
-# emits the measured numbers as BENCH_step.json. The sched-package
-# zero-alloc guard re-checks the fully tracked step loop and an
-# observed strided run directly.
+# Hot-path bench gate: the stride gate enforces the headline contracts
+# on the Fig. 5 workload at a fixed rail (the exact strided-fraction
+# floor, fixed-step and strided ns/step budgets normalised by a host
+# probe timed in the same trials, zero allocations per steady-state
+# step, bitwise-identical traces) and appends the measured row to the
+# BENCH_step.json history. The sched-package zero-alloc guard
+# re-checks the fully tracked step loop and an observed strided run
+# directly.
 echo "== hot-path bench gate (no race) =="
-HCAPP_BENCH_JSON="$PWD/BENCH_step.json" go test -run TestStrideSpeedupGate -count=1 ./internal/sched
+# The row names the commit; -dirty marks other uncommitted changes. The
+# history file itself is left out of that test: every run appends to it.
+bench_commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if ! git diff --quiet HEAD -- . ':!BENCH_step.json' 2>/dev/null; then
+	bench_commit="$bench_commit-dirty"
+fi
+HCAPP_BENCH_JSON="$PWD/BENCH_step.json" HCAPP_BENCH_COMMIT="$bench_commit" \
+	go test -run TestStrideSpeedupGate -count=1 ./internal/sched
 go test -run TestStepSteadyStateZeroAllocs -count=1 ./internal/sched
-echo "bench artifact:"
-cat BENCH_step.json
+echo "bench history, latest row:"
+tail -n 10 BENCH_step.json
 
 # Parallel determinism: the suite sharded across 4 workers must emit
 # byte-identical output to a sequential run of the same binary. The
@@ -341,10 +350,14 @@ echo "== fuzz (short) =="
 go test -run NoSuchTest -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry
 go test -run NoSuchTest -fuzz FuzzClusterProtocol -fuzztime 5s ./internal/cluster
 
-# The chiplet's per-voltage table must be exact: fuzzed rails, per-unit
-# ratios and guardband margins, with Step power held bit for bit to the
-# model evaluated directly and SteadyFor/StepN to their uncached twins.
-echo "== fuzz: per-voltage table =="
+# The chiplet's per-voltage table and its units' operating points must
+# be exact: fuzzed rails that revisit their voltages, per-unit ratios,
+# guardbands, phase lengths, work pools, step lengths and thermal trips,
+# with every step and stride held bit for bit to a direct Cursor.Step +
+# Freq/Leakage + Dynamic evaluation. The cursor's in-phase step is held
+# to Cursor.Step the same way.
+echo "== fuzz: per-voltage table and operating points =="
 go test -run NoSuchTest -fuzz FuzzPerVoltageTable -fuzztime 10s ./internal/chiplet
+go test -run NoSuchTest -fuzz FuzzCursorStep -fuzztime 5s ./internal/workload
 
 echo "ci: all green"
