@@ -22,8 +22,10 @@ type Options struct {
 	Name string
 	// Benchmark is the PARSEC proxy every core executes.
 	Benchmark workload.Benchmark
-	// Seed drives trace generation.
-	Seed int64
+	// Units is the benchmark's workload for each core, from
+	// Benchmark.Units; the chiplet reads the traces and never modifies
+	// them, so several chiplets may share one set.
+	Units []workload.Unit
 	// LocalControl enables the per-core static-IPC controllers; the
 	// fixed-voltage baseline runs without them ("a fixed global voltage
 	// system with no local controllers", §4).
@@ -43,9 +45,11 @@ func New(cfg config.CPUConfig, local config.LocalCPUConfig, opts Options) (*chip
 	if opts.Benchmark.On != workload.TargetCPU {
 		return nil, fmt.Errorf("cpusim: benchmark %q targets %s, not CPU", opts.Benchmark.Name, opts.Benchmark.On)
 	}
+	if len(opts.Units) != cfg.Cores {
+		return nil, fmt.Errorf("cpusim: %d unit workloads for %d cores", len(opts.Units), cfg.Cores)
+	}
 	units := make([]chiplet.UnitSpec, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		tr := opts.Benchmark.TraceFor(opts.Seed, i, cfg.Cores, cfg.Core.DVFS.FMax)
+	for i, w := range opts.Units {
 		var lc core.Local
 		if opts.LocalControl {
 			rng := core.RatioRange{Min: local.RatioMin, Max: local.RatioMax}
@@ -55,11 +59,7 @@ func New(cfg config.CPUConfig, local config.LocalCPUConfig, opts Options) (*chip
 			}
 			lc = c
 		}
-		units[i] = chiplet.UnitSpec{
-			Trace:      tr,
-			StartPhase: opts.Benchmark.StartPhase(opts.Seed, i, cfg.Cores, len(tr.Phases)),
-			Local:      lc,
-		}
+		units[i] = chiplet.UnitSpec{Trace: w.Trace, StartPhase: w.Start, Local: lc}
 	}
 	epoch := local.Epoch
 	if epoch <= 0 {

@@ -17,10 +17,19 @@ func mustBench(t *testing.T, name string) workload.Benchmark {
 	return b
 }
 
+// mustUnits is the named benchmark's workload for every unit of the
+// default configuration's chiplet.
+func mustUnits(t *testing.T, name string, seed int64) []workload.Unit {
+	t.Helper()
+	b := mustBench(t, name)
+	cfg := config.Default()
+	return b.Units(seed, cfg.CPU.Cores, cfg.CPU.Core.DVFS.FMax)
+}
+
 func TestNewBuildsEightCores(t *testing.T) {
 	cfg := config.Default()
 	cpu, err := New(cfg.CPU, cfg.LocalCPU, Options{
-		Benchmark: mustBench(t, "blackscholes"), Seed: 1, LocalControl: true,
+		Benchmark: mustBench(t, "blackscholes"), Units: mustUnits(t, "blackscholes", 1), LocalControl: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,9 +44,17 @@ func TestNewBuildsEightCores(t *testing.T) {
 
 func TestNewRejectsGPUBenchmark(t *testing.T) {
 	cfg := config.Default()
-	_, err := New(cfg.CPU, cfg.LocalCPU, Options{Benchmark: mustBench(t, "myocyte"), Seed: 1})
+	_, err := New(cfg.CPU, cfg.LocalCPU, Options{Benchmark: mustBench(t, "myocyte"), Units: mustUnits(t, "myocyte", 1)})
 	if err == nil {
 		t.Fatal("GPU benchmark accepted on CPU")
+	}
+}
+
+func TestNewRejectsWrongUnitCount(t *testing.T) {
+	cfg := config.Default()
+	units := mustUnits(t, "swaptions", 1)
+	if _, err := New(cfg.CPU, cfg.LocalCPU, Options{Benchmark: mustBench(t, "swaptions"), Units: units[:7]}); err == nil {
+		t.Fatal("7 unit workloads accepted for 8 cores")
 	}
 }
 
@@ -48,7 +65,7 @@ func TestLocalControlToggle(t *testing.T) {
 	// local controllers", §4).
 	run := func(local bool) float64 {
 		cpu, err := New(cfg.CPU, cfg.LocalCPU, Options{
-			Benchmark: mustBench(t, "ferret"), Seed: 1, LocalControl: local,
+			Benchmark: mustBench(t, "ferret"), Units: mustUnits(t, "ferret", 1), LocalControl: local,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +88,7 @@ func TestPowerRespondsToVoltage(t *testing.T) {
 	mk := func() interface {
 		Step(sim.Time, sim.Time, float64) sim.StepResult
 	} {
-		cpu, err := New(cfg.CPU, cfg.LocalCPU, Options{Benchmark: mustBench(t, "swaptions"), Seed: 1})
+		cpu, err := New(cfg.CPU, cfg.LocalCPU, Options{Benchmark: mustBench(t, "swaptions"), Units: mustUnits(t, "swaptions", 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +104,7 @@ func TestPowerRespondsToVoltage(t *testing.T) {
 func TestWorkCompletion(t *testing.T) {
 	cfg := config.Default()
 	cpu, err := New(cfg.CPU, cfg.LocalCPU, Options{
-		Benchmark: mustBench(t, "swaptions"), Seed: 1,
+		Benchmark: mustBench(t, "swaptions"), Units: mustUnits(t, "swaptions", 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +128,7 @@ func TestDeterminism(t *testing.T) {
 	cfg := config.Default()
 	run := func() float64 {
 		cpu, err := New(cfg.CPU, cfg.LocalCPU, Options{
-			Benchmark: mustBench(t, "fluidanimate"), Seed: 9, LocalControl: true,
+			Benchmark: mustBench(t, "fluidanimate"), Units: mustUnits(t, "fluidanimate", 9), LocalControl: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +148,7 @@ func TestDefaultEpochApplied(t *testing.T) {
 	cfg := config.Default()
 	local := cfg.LocalCPU
 	local.Epoch = 0 // should fall back to a sane default, not error
-	if _, err := New(cfg.CPU, local, Options{Benchmark: mustBench(t, "swaptions"), Seed: 1}); err != nil {
+	if _, err := New(cfg.CPU, local, Options{Benchmark: mustBench(t, "swaptions"), Units: mustUnits(t, "swaptions", 1)}); err != nil {
 		t.Fatalf("zero epoch not defaulted: %v", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"hcapp/internal/thermal"
 	"hcapp/internal/trace"
 	"hcapp/internal/vr"
+	"hcapp/internal/workload"
 )
 
 // DefaultTargetDuration is the nominal run length the work pools are
@@ -138,6 +139,11 @@ type BuildOptions struct {
 	// Holdover, when MaxAge > 0, arms the global controller's
 	// stale-sample holdover (dynamic schemes only).
 	Holdover core.HoldoverConfig
+
+	// traces supplies the cpu and gpu chiplets' trace sets. An
+	// Evaluator passes its own so that every build it makes shares
+	// them; nil makes assemble generate fresh ones for this build.
+	traces *traceSets
 }
 
 // System bundles an assembled engine with handles the experiments need.
@@ -242,6 +248,10 @@ func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*Syste
 		accLocal = core.Adversarial{}
 	}
 	sizeSec := sim.Seconds(topo.SizingDur)
+	traces := opts.traces
+	if traces == nil {
+		traces = new(traceSets)
+	}
 	names := map[string]bool{}
 	slots := make([]sched.Slot, len(topo.Chiplets))
 	ledgerSlots := make([]energy.SlotConfig, len(topo.Chiplets))
@@ -266,12 +276,19 @@ func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*Syste
 		var comp sim.Component
 		var domCfg config.DomainConfig
 		ls := energy.SlotConfig{Domain: name, Benchmark: spec.Benchmark.Name}
+		var units []workload.Unit
+		if spec.Kind == "cpu" || spec.Kind == "gpu" {
+			units, _, err = traces.chiplet(cfg, spec.Kind, spec.Benchmark, seed)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: chiplet %d: %w", i, err)
+			}
+		}
 		switch spec.Kind {
 		case "cpu":
 			c, err := cpusim.New(cfg.CPU, cfg.LocalCPU, cpusim.Options{
 				Name:          name,
 				Benchmark:     spec.Benchmark,
-				Seed:          seed,
+				Units:         units,
 				LocalControl:  localCtl,
 				TotalWork:     opts.CPUWork,
 				Thermal:       th,
@@ -292,7 +309,7 @@ func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*Syste
 			g, err := gpusim.New(cfg.GPU, cfg.LocalEpoch, gpusim.Options{
 				Name:          name,
 				Benchmark:     spec.Benchmark,
-				Seed:          seed,
+				Units:         units,
 				LocalControl:  localCtl,
 				TotalWork:     opts.GPUWork,
 				Controller:    opts.GPUController,
@@ -401,16 +418,37 @@ type Sizing struct {
 // operating point: steady-state instruction/throughput rates at the
 // fixed global voltage times the target duration.
 func SizeWork(cfg config.SystemConfig, combo Combo, fixedV float64, dur sim.Time) (Sizing, error) {
-	probe, err := Build(cfg, combo, BuildOptions{
-		Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: fixedV},
-	})
+	return sizeWork(cfg, combo, fixedV, dur, new(traceSets))
+}
+
+// sizeWork is SizeWork over the chiplets' trace sets from traces. The
+// rates are the ones a fixed-voltage build of combo would report
+// (Chiplet.AvgIPSAt and Accel.ThroughputAt at the domain voltages),
+// read from the traces and the accelerator's table without assembling
+// that system.
+func sizeWork(cfg config.SystemConfig, combo Combo, fixedV float64, dur sim.Time, traces *traceSets) (Sizing, error) {
+	if err := cfg.Validate(); err != nil {
+		return Sizing{}, err
+	}
+	if fixedV == 0 {
+		return Sizing{}, fmt.Errorf("experiment: fixed scheme needs a voltage")
+	}
+	cpu, cpuDVFS, err := traces.chiplet(cfg, "cpu", combo.CPU, cfg.Seed)
+	if err != nil {
+		return Sizing{}, err
+	}
+	gpu, gpuDVFS, err := traces.chiplet(cfg, "gpu", combo.GPU, cfg.Seed)
+	if err != nil {
+		return Sizing{}, err
+	}
+	acc, err := accelsim.New(cfg.Accel, accelsim.Options{})
 	if err != nil {
 		return Sizing{}, err
 	}
 	sec := sim.Seconds(dur)
 	return Sizing{
-		CPUWork: probe.CPU.AvgIPSAt(fixedV*cfg.CPUDomain.Scale) * sec,
-		GPUWork: probe.GPU.AvgIPSAt(fixedV*cfg.GPUDomain.Scale) * sec,
-		AccelGB: probe.Accel.ThroughputAt(fixedV*cfg.AccelDomain.Scale) * sec,
+		CPUWork: avgIPS(cpu, cpuDVFS, fixedV*cfg.CPUDomain.Scale) * sec,
+		GPUWork: avgIPS(gpu, gpuDVFS, fixedV*cfg.GPUDomain.Scale) * sec,
+		AccelGB: acc.ThroughputAt(fixedV*cfg.AccelDomain.Scale) * sec,
 	}, nil
 }

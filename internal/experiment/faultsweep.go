@@ -138,6 +138,7 @@ func (ev *Evaluator) buildSweepSystem(combo Combo, limit config.PowerLimit, inj 
 		Clamp:       &core.ClampConfig{CapW: limit.Watts, Window: limit.Window, DT: ev.Cfg.TimeStep},
 		Watchdog:    core.WatchdogConfig{Timeout: DefaultWatchdogTimeout},
 		TrackEnergy: trackEnergy,
+		traces:      &ev.traces,
 	}
 	run := &sweepRun{}
 	if centralized {

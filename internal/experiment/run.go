@@ -176,9 +176,9 @@ type RemoteRunner interface {
 }
 
 // Evaluator runs and caches simulations for one system configuration.
-// It is safe for concurrent use: the result and sizing caches are
-// single-flight, so overlapping requests for the same key simulate once
-// and share the result.
+// It is safe for concurrent use: the result and trace-set caches are
+// single-flight, so overlapping requests for the same key simulate (or
+// generate) once and share the result.
 type Evaluator struct {
 	Cfg config.SystemConfig
 	// TargetDur sizes the work pools (fixed-voltage run length).
@@ -209,11 +209,17 @@ type Evaluator struct {
 	// runner, when non-nil, fans RunSpecs batches across a worker pool.
 	runner *Runner
 
-	mu           sync.Mutex
-	cache        map[string]RunResult
-	sizing       map[string]Sizing
-	runInflight  map[string]*runFlight
-	sizeInflight map[string]*sizingFlight
+	mu          sync.Mutex
+	cache       map[string]RunResult
+	runInflight map[string]*runFlight
+
+	// traces holds every chiplet trace set the evaluator's builds and
+	// sizings have used, for the evaluator's lifetime: a (benchmark,
+	// seed) yields the same traces under every scheme, limit and
+	// priority, so each set is generated once, not once per build.
+	// Sizing reads them and costs a few microseconds, so it is not
+	// cached itself.
+	traces traceSets
 
 	// runProbe, when non-nil, is called with the cache key once per
 	// actual (uncached, non-deduplicated) simulation — the test hook the
@@ -228,13 +234,6 @@ type runFlight struct {
 	err  error
 }
 
-// sizingFlight is one in-progress work-pool sizing.
-type sizingFlight struct {
-	done chan struct{}
-	s    Sizing
-	err  error
-}
-
 // NewEvaluator returns an evaluator over the default target system.
 func NewEvaluator() *Evaluator {
 	return &Evaluator{
@@ -243,9 +242,7 @@ func NewEvaluator() *Evaluator {
 		MaxDurFactor: DefaultMaxDurFactor,
 		FixedV:       DefaultFixedV,
 		cache:        make(map[string]RunResult),
-		sizing:       make(map[string]Sizing),
 		runInflight:  make(map[string]*runFlight),
-		sizeInflight: make(map[string]*sizingFlight),
 	}
 }
 
@@ -271,14 +268,8 @@ func (ev *Evaluator) ensureMapsLocked() {
 	if ev.cache == nil {
 		ev.cache = make(map[string]RunResult)
 	}
-	if ev.sizing == nil {
-		ev.sizing = make(map[string]Sizing)
-	}
 	if ev.runInflight == nil {
 		ev.runInflight = make(map[string]*runFlight)
-	}
-	if ev.sizeInflight == nil {
-		ev.sizeInflight = make(map[string]*sizingFlight)
 	}
 }
 
@@ -302,43 +293,6 @@ func (ev *Evaluator) runKey(spec RunSpec) string {
 // worker is recognized again no matter which node — or which local
 // evaluator — asks next.
 func (ev *Evaluator) CacheKey(spec RunSpec) string { return ev.runKey(spec) }
-
-// sizingKey keys the work-pool cache by combo plus the parameters
-// SizeWork reads.
-func (ev *Evaluator) sizingKey(combo Combo) string {
-	return fmt.Sprintf("seed=%d|dur=%d|fv=%g|%s", ev.Cfg.Seed, ev.TargetDur, ev.FixedV, combo.Name)
-}
-
-// sizingFor computes (and caches, single-flight) the work pools for a
-// combo.
-func (ev *Evaluator) sizingFor(combo Combo) (Sizing, error) {
-	key := ev.sizingKey(combo)
-	ev.mu.Lock()
-	ev.ensureMapsLocked()
-	if s, ok := ev.sizing[key]; ok {
-		ev.mu.Unlock()
-		return s, nil
-	}
-	if f, ok := ev.sizeInflight[key]; ok {
-		ev.mu.Unlock()
-		<-f.done
-		return f.s, f.err
-	}
-	f := &sizingFlight{done: make(chan struct{})}
-	ev.sizeInflight[key] = f
-	ev.mu.Unlock()
-
-	s, err := SizeWork(ev.Cfg, combo, ev.FixedV, ev.TargetDur)
-	f.s, f.err = s, err
-	ev.mu.Lock()
-	if err == nil {
-		ev.sizing[key] = s
-	}
-	delete(ev.sizeInflight, key)
-	ev.mu.Unlock()
-	close(f.done)
-	return s, err
-}
 
 // Run executes (or returns the cached result of) one spec.
 func (ev *Evaluator) Run(spec RunSpec) (RunResult, error) {
@@ -448,7 +402,7 @@ func (ev *Evaluator) BuildSized(spec RunSpec, mutate func(*BuildOptions)) (sys *
 // work pools are still sized under ev.Cfg, so a configuration variant
 // does the nominal baseline's work.
 func (ev *Evaluator) buildSized(cfg config.SystemConfig, spec RunSpec, mutate func(*BuildOptions)) (*System, func(context.Context) (RunResult, error), error) {
-	sizing, err := ev.sizingFor(spec.Combo)
+	sizing, err := sizeWork(ev.Cfg, spec.Combo, ev.FixedV, ev.TargetDur, &ev.traces)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -466,6 +420,7 @@ func (ev *Evaluator) buildSized(cfg config.SystemConfig, spec RunSpec, mutate fu
 		Supervisor:       sup,
 		Observer:         ev.Observer,
 		TrackEnergy:      ev.TrackEnergy,
+		traces:           &ev.traces,
 	}
 	if spec.Scheme.Kind != config.FixedVoltage {
 		opts.TargetPower = TargetPowerFor(spec.Limit)

@@ -24,8 +24,10 @@ type Options struct {
 	Name string
 	// Benchmark is the Rodinia proxy every SM executes.
 	Benchmark workload.Benchmark
-	// Seed drives trace generation.
-	Seed int64
+	// Units is the benchmark's workload for each SM, from
+	// Benchmark.Units; the chiplet reads the traces and never modifies
+	// them, so several chiplets may share one set.
+	Units []workload.Unit
 	// LocalControl enables the per-SM dynamic-IPC controllers.
 	LocalControl bool
 	// TotalWork is the instruction budget; zero means run forever.
@@ -45,9 +47,11 @@ func New(cfg config.GPUConfig, localEpoch sim.Time, opts Options) (*chiplet.Chip
 	if opts.Benchmark.On != workload.TargetGPU {
 		return nil, fmt.Errorf("gpusim: benchmark %q targets %s, not GPU", opts.Benchmark.Name, opts.Benchmark.On)
 	}
+	if len(opts.Units) != cfg.SMs {
+		return nil, fmt.Errorf("gpusim: %d unit workloads for %d SMs", len(opts.Units), cfg.SMs)
+	}
 	units := make([]chiplet.UnitSpec, cfg.SMs)
-	for i := 0; i < cfg.SMs; i++ {
-		tr := opts.Benchmark.TraceFor(opts.Seed, i, cfg.SMs, cfg.SM.DVFS.FMax)
+	for i, w := range opts.Units {
 		var lc core.Local
 		if opts.LocalControl {
 			var c core.Local
@@ -75,11 +79,7 @@ func New(cfg config.GPUConfig, localEpoch sim.Time, opts Options) (*chiplet.Chip
 			}
 			lc = c
 		}
-		units[i] = chiplet.UnitSpec{
-			Trace:      tr,
-			StartPhase: opts.Benchmark.StartPhase(opts.Seed, i, cfg.SMs, len(tr.Phases)),
-			Local:      lc,
-		}
+		units[i] = chiplet.UnitSpec{Trace: w.Trace, StartPhase: w.Start, Local: lc}
 	}
 	if localEpoch <= 0 {
 		localEpoch = 5 * sim.Microsecond

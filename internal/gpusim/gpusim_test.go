@@ -18,10 +18,19 @@ func mustBench(t *testing.T, name string) workload.Benchmark {
 	return b
 }
 
+// mustUnits is the named benchmark's workload for every unit of the
+// default configuration's chiplet.
+func mustUnits(t *testing.T, name string, seed int64) []workload.Unit {
+	t.Helper()
+	b := mustBench(t, name)
+	cfg := config.Default()
+	return b.Units(seed, cfg.GPU.SMs, cfg.GPU.SM.DVFS.FMax)
+}
+
 func TestNewBuildsFifteenSMs(t *testing.T) {
 	cfg := config.Default()
 	gpu, err := New(cfg.GPU, cfg.LocalEpoch, Options{
-		Benchmark: mustBench(t, "backprop"), Seed: 1, LocalControl: true,
+		Benchmark: mustBench(t, "backprop"), Units: mustUnits(t, "backprop", 1), LocalControl: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +45,15 @@ func TestNewBuildsFifteenSMs(t *testing.T) {
 
 func TestNewRejectsCPUBenchmark(t *testing.T) {
 	cfg := config.Default()
-	if _, err := New(cfg.GPU, cfg.LocalEpoch, Options{Benchmark: mustBench(t, "ferret"), Seed: 1}); err == nil {
+	if _, err := New(cfg.GPU, cfg.LocalEpoch, Options{Benchmark: mustBench(t, "ferret"), Units: mustUnits(t, "ferret", 1)}); err == nil {
 		t.Fatal("CPU benchmark accepted on GPU")
+	}
+}
+
+func TestNewRejectsWrongUnitCount(t *testing.T) {
+	cfg := config.Default()
+	if _, err := New(cfg.GPU, cfg.LocalEpoch, Options{Benchmark: mustBench(t, "bfs")}); err == nil {
+		t.Fatal("no unit workloads accepted for 15 SMs")
 	}
 }
 
@@ -45,7 +61,7 @@ func TestDynamicLocalReducesLowWorkloadPower(t *testing.T) {
 	cfg := config.Default()
 	run := func(local bool) float64 {
 		gpu, err := New(cfg.GPU, cfg.LocalEpoch, Options{
-			Benchmark: mustBench(t, "myocyte"), Seed: 1, LocalControl: local,
+			Benchmark: mustBench(t, "myocyte"), Units: mustUnits(t, "myocyte", 1), LocalControl: local,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +85,7 @@ func TestDynamicLocalReducesLowWorkloadPower(t *testing.T) {
 func TestWorkCompletion(t *testing.T) {
 	cfg := config.Default()
 	gpu, err := New(cfg.GPU, cfg.LocalEpoch, Options{
-		Benchmark: mustBench(t, "backprop"), Seed: 1,
+		Benchmark: mustBench(t, "backprop"), Units: mustUnits(t, "backprop", 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +105,7 @@ func TestDeterminism(t *testing.T) {
 	cfg := config.Default()
 	run := func() float64 {
 		gpu, err := New(cfg.GPU, cfg.LocalEpoch, Options{
-			Benchmark: mustBench(t, "bfs"), Seed: 4, LocalControl: true,
+			Benchmark: mustBench(t, "bfs"), Units: mustUnits(t, "bfs", 4), LocalControl: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +123,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestZeroEpochDefaults(t *testing.T) {
 	cfg := config.Default()
-	if _, err := New(cfg.GPU, 0, Options{Benchmark: mustBench(t, "sradv2"), Seed: 1}); err != nil {
+	if _, err := New(cfg.GPU, 0, Options{Benchmark: mustBench(t, "sradv2"), Units: mustUnits(t, "sradv2", 1)}); err != nil {
 		t.Fatalf("zero epoch not defaulted: %v", err)
 	}
 }
@@ -115,7 +131,7 @@ func TestZeroEpochDefaults(t *testing.T) {
 func TestOccupancyControllerVariant(t *testing.T) {
 	cfg := config.Default()
 	gpu, err := New(cfg.GPU, cfg.LocalEpoch, Options{
-		Benchmark: mustBench(t, "myocyte"), Seed: 1,
+		Benchmark: mustBench(t, "myocyte"), Units: mustUnits(t, "myocyte", 1),
 		LocalControl: true, Controller: "dynamic-occupancy",
 	})
 	if err != nil {
@@ -136,7 +152,7 @@ func TestOccupancyControllerVariant(t *testing.T) {
 func TestUnknownControllerRejected(t *testing.T) {
 	cfg := config.Default()
 	if _, err := New(cfg.GPU, cfg.LocalEpoch, Options{
-		Benchmark: mustBench(t, "myocyte"), Seed: 1,
+		Benchmark: mustBench(t, "myocyte"), Units: mustUnits(t, "myocyte", 1),
 		LocalControl: true, Controller: "telepathy",
 	}); err == nil {
 		t.Fatal("unknown controller accepted")
@@ -147,7 +163,7 @@ func TestThermalAndMarginPassThrough(t *testing.T) {
 	cfg := config.Default()
 	th := thermal.DefaultChiplet()
 	gpu, err := New(cfg.GPU, cfg.LocalEpoch, Options{
-		Benchmark: mustBench(t, "backprop"), Seed: 1,
+		Benchmark: mustBench(t, "backprop"), Units: mustUnits(t, "backprop", 1),
 		Thermal: &th, VoltageMargin: 0.02,
 	})
 	if err != nil {
@@ -160,7 +176,7 @@ func TestThermalAndMarginPassThrough(t *testing.T) {
 		t.Fatal("thermal node not attached")
 	}
 	// Guardbanded GPU retires less than adaptive at the same rail.
-	plain, err := New(cfg.GPU, cfg.LocalEpoch, Options{Benchmark: mustBench(t, "backprop"), Seed: 1})
+	plain, err := New(cfg.GPU, cfg.LocalEpoch, Options{Benchmark: mustBench(t, "backprop"), Units: mustUnits(t, "backprop", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,8 +283,12 @@ func (mgr *Manager) runJob(j *Job) {
 			j.trace.setProgress(res.Duration, int64(res.Duration/config.Default().TimeStep))
 		}
 	} else {
-		// One evaluator per job: evaluators are cheap, carry the run cache
-		// we do not want shared, and isolate all mutable simulation state.
+		// One evaluator per job: it carries the run cache we do not want
+		// shared and isolates all mutable simulation state. It is not
+		// free: its first build generates every unit's workload trace,
+		// most of the time a 0.2 ms job spends building. It keeps those
+		// traces only for this job, so the server's memory does not
+		// grow with the seeds it has served.
 		ev := experiment.NewEvaluator().WithTargetDur(j.dur)
 		ev.Cfg.Seed = j.seed
 		// Attribute energy on every job so chargeback works in standalone

@@ -42,54 +42,91 @@ type Benchmark struct {
 	// across units so bursts appear at the package level.
 	correlated bool
 	build      func(rng *rand.Rand, fmax float64) *Trace
+	// custom is a custom benchmark's whole spec in Go syntax; empty
+	// for the built-in registry.
+	custom string
 }
 
-// TraceFor builds the trace executed by one unit (core or SM) of nUnits,
-// deterministically derived from seed. Steady workloads decorrelate units
-// with distinct sub-seeds and start phases; bursty workloads share the
-// burst schedule across units (a kernel-level phase hits all SMs at once)
-// with only slight per-unit amplitude variation.
-func (b Benchmark) TraceFor(seed int64, unit, nUnits int, fmax float64) *Trace {
+// Unit is the workload of one execution unit (a core or an SM): the
+// trace it loops and the phase it starts at.
+type Unit struct {
+	Trace *Trace
+	Start int
+}
+
+// Units builds the workload of every unit of an nUnits chiplet,
+// deterministically derived from seed. Steady workloads decorrelate
+// units with distinct sub-seeds and start phases. Bursty (correlated)
+// workloads share one burst schedule across units, because a
+// kernel-level phase hits all SMs at once: the schedule is built once,
+// copied per unit with only slight amplitude variation, and every unit
+// starts at phase 0. Nothing modifies the traces afterwards, so
+// concurrent engines may share them.
+func (b Benchmark) Units(seed int64, nUnits int, fmax float64) []Unit {
 	if b.build == nil {
 		panic(fmt.Sprintf("workload: benchmark %q has no builder", b.Name))
 	}
-	if unit < 0 || nUnits <= 0 || unit >= nUnits {
-		panic(fmt.Sprintf("workload: unit %d of %d out of range", unit, nUnits))
+	if nUnits <= 0 {
+		panic(fmt.Sprintf("workload: %d units", nUnits))
 	}
+	// One generator, reseeded per stream: Rand.Seed leaves it exactly
+	// as a fresh rand.New(rand.NewSource(s)) would be, without
+	// allocating another 607-word source.
 	var rng *rand.Rand
-	if b.correlated {
-		rng = rand.New(rand.NewSource(mixSeed(seed, b.Name, 0)))
-	} else {
-		rng = rand.New(rand.NewSource(mixSeed(seed, b.Name, unit)))
-	}
-	t := b.build(rng, fmax)
-	if b.correlated && nUnits > 1 {
-		// Per-unit amplitude variation without disturbing timing.
-		urng := rand.New(rand.NewSource(mixSeed(seed, b.Name+"/amp", unit)))
-		scale := 1 + 0.03*(2*urng.Float64()-1)
-		for i := range t.Phases {
-			a := t.Phases[i].Activity * scale
-			if a > 1 {
-				a = 1
-			}
-			if a < 0.02 {
-				a = 0.02
-			}
-			t.Phases[i].Activity = a
+	seeded := func(s int64) *rand.Rand {
+		if rng == nil {
+			rng = rand.New(rand.NewSource(s))
+		} else {
+			rng.Seed(s)
 		}
+		return rng
 	}
-	return t
+	units := make([]Unit, nUnits)
+	if b.correlated {
+		base := b.build(seeded(mixSeed(seed, b.Name, 0)), fmax)
+		if nUnits == 1 {
+			units[0] = Unit{Trace: base}
+			return units
+		}
+		for i := range units {
+			// Per-unit amplitude variation without disturbing timing.
+			scale := 1 + 0.03*(2*seeded(mixSeed(seed, b.Name+"/amp", i)).Float64()-1)
+			t := &Trace{Name: base.Name, Phases: make([]Phase, len(base.Phases))}
+			for j, p := range base.Phases {
+				a := p.Activity * scale
+				if a > 1 {
+					a = 1
+				}
+				if a < 0.02 {
+					a = 0.02
+				}
+				p.Activity = a
+				t.Phases[j] = p
+			}
+			units[i] = Unit{Trace: t}
+		}
+		return units
+	}
+	for i := range units {
+		t := b.build(seeded(mixSeed(seed, b.Name, i)), fmax)
+		start := 0
+		if len(t.Phases) > 1 {
+			start = seeded(mixSeed(seed, b.Name+"/start", i)).Intn(len(t.Phases))
+		}
+		units[i] = Unit{Trace: t, Start: start}
+	}
+	return units
 }
 
-// StartPhase returns the phase index a given unit should begin at, to
-// decorrelate steady workloads. Correlated (bursty) workloads always
-// start at phase 0.
-func (b Benchmark) StartPhase(seed int64, unit, nUnits int, tracePhases int) int {
-	if b.correlated || tracePhases <= 1 {
-		return 0
+// Key identifies the benchmark's definition: benchmarks with equal keys
+// build equal units from equal arguments. A custom benchmark's key
+// covers its whole spec, so it never matches a built-in of the same
+// name, nor another spec that reuses its name.
+func (b Benchmark) Key() string {
+	if b.custom != "" {
+		return "custom/" + b.custom
 	}
-	rng := rand.New(rand.NewSource(mixSeed(seed, b.Name+"/start", unit)))
-	return rng.Intn(tracePhases)
+	return "builtin/" + b.Name
 }
 
 // mixSeed derives a stable sub-seed from (seed, label, unit).

@@ -77,22 +77,22 @@ func TestByClass(t *testing.T) {
 	}
 }
 
-func TestTraceForDeterminism(t *testing.T) {
+func TestUnitsDeterminism(t *testing.T) {
 	for _, b := range append(CPUBenchmarks(), GPUBenchmarks()...) {
 		fmax := 2e9
-		t1 := b.TraceFor(42, 0, 8, fmax)
-		t2 := b.TraceFor(42, 0, 8, fmax)
-		if !reflect.DeepEqual(t1, t2) {
-			t.Errorf("%s: same seed produced different traces", b.Name)
+		u1 := b.Units(42, 8, fmax)
+		u2 := b.Units(42, 8, fmax)
+		if !reflect.DeepEqual(u1, u2) {
+			t.Errorf("%s: same seed produced different units", b.Name)
 		}
-		t3 := b.TraceFor(43, 0, 8, fmax)
-		if reflect.DeepEqual(t1, t3) {
+		u3 := b.Units(43, 8, fmax)
+		if reflect.DeepEqual(u1[0].Trace, u3[0].Trace) {
 			t.Errorf("%s: different seeds produced identical traces", b.Name)
 		}
 	}
 }
 
-func TestTraceForValidity(t *testing.T) {
+func TestUnitsValidity(t *testing.T) {
 	// Every benchmark must produce valid traces for every unit over a
 	// spread of seeds.
 	for _, b := range append(CPUBenchmarks(), GPUBenchmarks()...) {
@@ -101,9 +101,8 @@ func TestTraceForValidity(t *testing.T) {
 			fmax = 700e6
 		}
 		for seed := int64(0); seed < 5; seed++ {
-			for unit := 0; unit < 4; unit++ {
-				tr := b.TraceFor(seed, unit, 4, fmax)
-				if err := tr.Validate(); err != nil {
+			for unit, u := range b.Units(seed, 4, fmax) {
+				if err := u.Trace.Validate(); err != nil {
 					t.Fatalf("%s seed=%d unit=%d: %v", b.Name, seed, unit, err)
 				}
 			}
@@ -116,8 +115,8 @@ func TestCorrelatedBenchmarksShareTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := b.TraceFor(7, 0, 8, 2e9)
-	t1 := b.TraceFor(7, 5, 8, 2e9)
+	units := b.Units(7, 8, 2e9)
+	t0, t1 := units[0].Trace, units[5].Trace
 	if len(t0.Phases) != len(t1.Phases) {
 		t.Fatal("correlated units have different phase counts")
 	}
@@ -127,8 +126,10 @@ func TestCorrelatedBenchmarksShareTiming(t *testing.T) {
 		}
 	}
 	// Start phases must be 0 for correlated workloads.
-	if got := b.StartPhase(7, 3, 8, len(t0.Phases)); got != 0 {
-		t.Fatalf("correlated start phase = %d, want 0", got)
+	for i, u := range units {
+		if u.Start != 0 {
+			t.Fatalf("correlated unit %d start phase = %d, want 0", i, u.Start)
+		}
 	}
 }
 
@@ -137,15 +138,14 @@ func TestDecorrelatedBenchmarksDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := b.TraceFor(7, 0, 8, 2e9)
-	t1 := b.TraceFor(7, 5, 8, 2e9)
-	if reflect.DeepEqual(t0, t1) {
+	units := b.Units(7, 8, 2e9)
+	if reflect.DeepEqual(units[0].Trace, units[5].Trace) {
 		t.Fatal("decorrelated units produced identical traces")
 	}
 	// Start phases spread over the trace.
 	seen := map[int]bool{}
-	for unit := 0; unit < 8; unit++ {
-		seen[b.StartPhase(7, unit, 8, len(t0.Phases))] = true
+	for _, u := range units {
+		seen[u.Start] = true
 	}
 	if len(seen) < 2 {
 		t.Fatal("decorrelated start phases all identical")
@@ -165,8 +165,8 @@ func TestBurstClassHasHighDynamicRange(t *testing.T) {
 	}
 	ferret, _ := ByName("ferret")
 	black, _ := ByName("blackscholes")
-	fSpan := span(ferret.TraceFor(1, 0, 8, 2e9))
-	bSpan := span(black.TraceFor(1, 0, 8, 2e9))
+	fSpan := span(ferret.Units(1, 8, 2e9)[0].Trace)
+	bSpan := span(black.Units(1, 8, 2e9)[0].Trace)
 	if fSpan < 0.4 {
 		t.Fatalf("ferret activity span %g, want bursty (≥0.4)", fSpan)
 	}
@@ -178,7 +178,7 @@ func TestBurstClassHasHighDynamicRange(t *testing.T) {
 func TestClassActivityOrdering(t *testing.T) {
 	// Mean activity must order Low < Mid < Hi for both targets.
 	meanAct := func(b Benchmark, fmax float64) float64 {
-		tr := b.TraceFor(3, 0, 8, fmax)
+		tr := b.Units(3, 8, fmax)[0].Trace
 		sum := 0.0
 		for _, p := range tr.Phases {
 			sum += p.Activity
@@ -200,24 +200,10 @@ func TestClassActivityOrdering(t *testing.T) {
 	}
 }
 
-func TestTraceForPanicsOnBadUnit(t *testing.T) {
-	b, _ := ByName("ferret")
-	for _, c := range []struct{ unit, n int }{{-1, 8}, {8, 8}, {0, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("unit=%d n=%d: expected panic", c.unit, c.n)
-				}
-			}()
-			b.TraceFor(1, c.unit, c.n, 2e9)
-		}()
-	}
-}
-
 func TestBurstTraceHasRampPhases(t *testing.T) {
 	// BurstTrace inserts ramps: gap, ramp, burst, ramp per burst.
 	ferret, _ := ByName("ferret")
-	tr := ferret.TraceFor(1, 0, 8, 2e9)
+	tr := ferret.Units(1, 8, 2e9)[0].Trace
 	if len(tr.Phases)%4 != 0 {
 		t.Fatalf("burst trace phases = %d, want multiple of 4", len(tr.Phases))
 	}

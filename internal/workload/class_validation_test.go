@@ -15,7 +15,7 @@ func activitySeries(t *testing.T, name string, fmax float64) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := b.TraceFor(42, 0, 8, fmax)
+	tr := b.Units(42, 8, fmax)[0].Trace
 	c := NewCursor(tr, 0)
 	span := 3 * tr.LoopDurationAtFmax(fmax)
 	step := 10 * sim.Microsecond

@@ -23,9 +23,10 @@ func FuzzParseBenchmarks(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		for _, b := range bs {
-			tr := b.TraceFor(1, 0, 2, 1e9)
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("accepted spec built invalid trace: %v", err)
+			for _, u := range b.Units(1, 2, 1e9) {
+				if err := u.Trace.Validate(); err != nil {
+					t.Fatalf("accepted spec built invalid trace: %v", err)
+				}
 			}
 		}
 	})

@@ -126,6 +126,7 @@ func (sp SpecJSON) Benchmark() (Benchmark, error) {
 		Class:      Class(sp.Class),
 		On:         target,
 		correlated: sp.Correlated,
+		custom:     fmt.Sprintf("%#v", sp),
 		build: func(rng *rand.Rand, fmax float64) *Trace {
 			return spec.buildTrace(rng, fmax)
 		},

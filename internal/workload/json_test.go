@@ -35,12 +35,12 @@ func TestParseBenchmarks(t *testing.T) {
 		if b.On == TargetGPU {
 			fmax = 700e6
 		}
-		tr := b.TraceFor(7, 0, 4, fmax)
+		tr := b.Units(7, 4, fmax)[0].Trace
 		if err := tr.Validate(); err != nil {
 			t.Errorf("%s: invalid trace: %v", b.Name, err)
 		}
 		// Determinism carries over to custom benchmarks.
-		tr2 := b.TraceFor(7, 0, 4, fmax)
+		tr2 := b.Units(7, 4, fmax)[0].Trace
 		if tr.TotalInstr() != tr2.TotalInstr() {
 			t.Errorf("%s: non-deterministic", b.Name)
 		}
@@ -58,8 +58,8 @@ func TestParseBenchmarksCorrelation(t *testing.T) {
 			wave = b
 		}
 	}
-	a := wave.TraceFor(3, 0, 8, 700e6)
-	c := wave.TraceFor(3, 5, 8, 700e6)
+	units := wave.Units(3, 8, 700e6)
+	a, c := units[0].Trace, units[5].Trace
 	if len(a.Phases) != len(c.Phases) {
 		t.Fatal("correlated custom benchmark lost phase alignment")
 	}
@@ -105,7 +105,7 @@ func TestSpecJSONStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := b.TraceFor(1, 0, 2, 2e9)
+	tr := b.Units(1, 2, 2e9)[0].Trace
 	if len(tr.Phases) != 1 {
 		t.Fatalf("constant kind phases = %d", len(tr.Phases))
 	}

@@ -28,6 +28,9 @@ go test -race ./...
 # This pass covers the breaker, hedging, and backoff tests too.
 echo "== cluster packages under -race (uncached) =="
 go test -race -count=1 ./internal/cluster ./internal/server ./internal/chaos ./internal/tracing
+# An evaluator's trace sets are shared by every engine it builds; a
+# 4-wide batch of one combo's specs must only ever read them.
+go test -race -count=1 -run TestSharedTraceSetsConcurrentRuns ./internal/experiment
 
 # The step-overhead contracts compare inlined hot paths; race
 # instrumentation disables that inlining, so they skip under -race and
