@@ -2,11 +2,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"hcapp/internal/config"
 	"hcapp/internal/experiment"
 	"hcapp/internal/export"
+	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 	"hcapp/internal/trace"
 )
@@ -30,10 +32,12 @@ func runTrace(o *options) error {
 
 	switch o.fig {
 	case 1:
-		rec, err := tracedRun(ev, spec, false)
+		eng, err := tracedEngine(ev, spec)
 		if err != nil {
 			return err
 		}
+		eng.RunFor(ev.TargetDur)
+		rec := eng.Recorder()
 		avg := rec.AvgPower()
 		fmt.Printf("# combo=%s scheme=%s avg_power_w=%.2f\n", combo.Name, o.scheme, avg)
 		fmt.Println("time_us,power_normalized")
@@ -60,50 +64,50 @@ func runTrace(o *options) error {
 				series[windows[0]][i].P, series[windows[1]][i].P, series[windows[2]][i].P)
 		}
 	case 3:
-		return voltageTrace(ev, spec, sample)
+		return voltageTrace(os.Stdout, ev, spec, sample)
 	}
 	return nil
 }
 
-// tracedRun runs spec's sized system for exactly the evaluator's
-// TargetDur (idle tails included, as in Fig. 1) and returns its trace;
-// track adds the per-component and voltage columns.
-func tracedRun(ev *experiment.Evaluator, spec experiment.RunSpec, track bool) (*trace.Recorder, error) {
-	sys, _, err := ev.BuildSized(spec, func(o *experiment.BuildOptions) { o.TrackComponents = track })
+// tracedEngine builds spec's sized system. Callers run it for exactly
+// the evaluator's TargetDur, idle tails included, as in Fig. 1.
+func tracedEngine(ev *experiment.Evaluator, spec experiment.RunSpec) (*sched.Engine, error) {
+	sys, _, err := ev.BuildSized(spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	sys.Engine.RunFor(ev.TargetDur)
-	return sys.Engine.Recorder(), nil
+	return sys.Engine, nil
 }
 
-// voltageTrace runs one combo with component and voltage tracking and
-// emits aligned power/voltage CSV columns — the view of the controller
-// at work.
-func voltageTrace(ev *experiment.Evaluator, spec experiment.RunSpec, sample sim.Time) error {
-	rec, err := tracedRun(ev, spec, true)
+// voltageTrace runs one combo with a per-component sampler attached
+// and writes aligned power/voltage CSV columns to w — the view of the
+// controller at work.
+func voltageTrace(w io.Writer, ev *experiment.Evaluator, spec experiment.RunSpec, sample sim.Time) error {
+	eng, err := tracedEngine(ev, spec)
 	if err != nil {
 		return err
 	}
-	cpuW := rec.ComponentSeries("cpu", sample)
-	gpuW := rec.ComponentSeries("gpu", sample)
-	shaW := rec.ComponentSeries("sha", sample)
+	s := sched.NewSampler(eng, sample)
+	s.Grow(int(ev.TargetDur / sample))
+	eng.SetObserver(s)
+	eng.RunFor(ev.TargetDur)
+	cpuW, gpuW, shaW := s.Power("cpu"), s.Power("gpu"), s.Power("sha")
 	names := []string{"total_w", "cpu_w", "gpu_w", "sha_w", "rail_v", "vcpu_v", "vgpu_v",
 		"ecpu_j", "egpu_j", "esha_j"}
 	series := [][]trace.Point{
-		rec.Series(sample),
+		eng.Recorder().Series(sample),
 		cpuW,
 		gpuW,
 		shaW,
-		rec.ComponentSeries("voltage:rail", sample),
-		rec.ComponentSeries("voltage:cpu", sample),
-		rec.ComponentSeries("voltage:gpu", sample),
+		s.Rail(),
+		s.Voltage("cpu"),
+		s.Voltage("gpu"),
 		cumulativeEnergy(cpuW, sample),
 		cumulativeEnergy(gpuW, sample),
 		cumulativeEnergy(shaW, sample),
 	}
-	fmt.Printf("# combo=%s scheme=%s\n", spec.Combo.Name, spec.Scheme.Kind)
-	return export.WriteSeriesCSV(os.Stdout, names, series...)
+	fmt.Fprintf(w, "# combo=%s scheme=%s\n", spec.Combo.Name, spec.Scheme.Kind)
+	return export.WriteSeriesCSV(w, names, series...)
 }
 
 // cumulativeEnergy integrates a sampled per-domain power series into a

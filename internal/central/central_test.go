@@ -103,7 +103,7 @@ func buildEngine(t *testing.T, sup sched.Supervisor, aWatts, bWatts float64) (*s
 			{Domain: core.MustDomain("a", domCfg), Comp: a},
 			{Domain: core.MustDomain("b", domCfg), Comp: b},
 		},
-		Recorder:   trace.MustRecorder(dt, false),
+		Recorder:   trace.MustRecorder(dt),
 		Supervisor: sup,
 	})
 	return eng, a, b

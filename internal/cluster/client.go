@@ -194,7 +194,10 @@ func (c *Client) runOnce(ctx context.Context, body []byte, n int) (_ *RunRespons
 // RunRemote implements experiment.RemoteRunner: one uncached spec
 // becomes a one-item fleet batch.
 func (c *Client) RunRemote(ctx context.Context, seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, spec experiment.RunSpec) (experiment.RunResult, error) {
-	wire := SpecOf(spec)
+	wire, err := SpecOf(spec)
+	if err != nil {
+		return experiment.RunResult{}, err
+	}
 	resp, err := c.Run(ctx, Params{
 		Seed:         seed,
 		TargetDurNS:  targetDur,

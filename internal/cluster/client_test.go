@@ -10,6 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hcapp/internal/config"
+	"hcapp/internal/experiment"
+	"hcapp/internal/sim"
+	"hcapp/internal/workload"
 )
 
 // runServer serves /v1/cluster/run with a per-attempt script and counts
@@ -188,5 +193,46 @@ func TestClientRetries5xx(t *testing.T) {
 	}
 	if len(delays) != 2 {
 		t.Fatalf("recorded %d backoff sleeps, want 2", len(delays))
+	}
+}
+
+// TestRunRemoteRefusesRedefinedCombo: combos travel by name and a worker
+// resolves the name to the built-in, so a custom combo that reuses a
+// built-in's name must fail in SpecOf before any request is sent — not
+// come back as the built-in's result. A renamed-case built-in still
+// travels.
+func TestRunRemoteRefusesRedefinedCombo(t *testing.T) {
+	ts, attempts := runServer(t, func(_ int64, w http.ResponseWriter, _ *http.Request) {
+		w.Write(okBody(1))
+	})
+	c := testClient(t, ts.URL, nil)
+	builtin, err := experiment.ComboByName("Hi-Hi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := workload.SpecJSON{
+		Name: "ferret", Target: "cpu", Class: "Mid", Kind: "steady",
+		Phases: 6, PhaseDurUS: 80, IPC: 1.1, MemFrac: 0.3,
+		Activity: 0.5, StallAct: 0.1, ActJitter: 0.05,
+	}.Benchmark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := builtin
+	custom.CPU = cpu
+	spec := experiment.RunSpec{Combo: custom, Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}, Limit: config.PackagePinLimit()}
+	if _, err := SpecOf(spec); err == nil {
+		t.Fatal("SpecOf shipped a redefined Hi-Hi under the built-in's name")
+	}
+	if _, err := c.RunRemote(context.Background(), 42, sim.Millisecond, experiment.DefaultMaxDurFactor, experiment.DefaultFixedV, spec); err == nil {
+		t.Fatal("RunRemote returned a result for a redefined Hi-Hi")
+	}
+	if n := attempts.Load(); n != 0 {
+		t.Fatalf("RunRemote sent %d requests for a combo the fleet cannot run", n)
+	}
+	spec.Combo = builtin
+	spec.Combo.Name = "hi-hi"
+	if wire, err := SpecOf(spec); err != nil || wire.Combo != "hi-hi" {
+		t.Fatalf("SpecOf(built-in Hi-Hi as %q) = %+v, %v", spec.Combo.Name, wire, err)
 	}
 }

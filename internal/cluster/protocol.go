@@ -90,8 +90,17 @@ type Spec struct {
 	Policy           string             `json:"policy,omitempty"`
 }
 
-// SpecOf projects a RunSpec onto the wire.
-func SpecOf(s experiment.RunSpec) Spec {
+// SpecOf projects a RunSpec onto the wire. The combo travels by name
+// and a worker resolves it to the built-in of that name, so a combo
+// defined otherwise is refused here rather than run as the built-in.
+func SpecOf(s experiment.RunSpec) (Spec, error) {
+	builtin, err := experiment.ComboByName(s.Combo.Name)
+	if err != nil {
+		return Spec{}, fmt.Errorf("cluster: %w", err)
+	}
+	if builtin.CPU.Key() != s.Combo.CPU.Key() || builtin.GPU.Key() != s.Combo.GPU.Key() {
+		return Spec{}, fmt.Errorf("cluster: combo %q differs from the built-in of that name; only built-in combos run on the fleet", s.Combo.Name)
+	}
 	return Spec{
 		Combo:            s.Combo.Name,
 		Scheme:           s.Scheme,
@@ -99,7 +108,7 @@ func SpecOf(s experiment.RunSpec) Spec {
 		Priorities:       s.Priorities,
 		AdversarialAccel: s.AdversarialAccel,
 		Policy:           s.Policy,
-	}
+	}, nil
 }
 
 // RunSpec resolves the wire spec back to an executable one.

@@ -92,8 +92,6 @@ type BuildOptions struct {
 	// the fixed-voltage baseline. BuildTopology rejects them: a custom
 	// package sizes its pools with Topology.SizingDur instead.
 	CPUWork, GPUWork, AccelWorkGB float64
-	// TrackComponents enables per-component trace recording.
-	TrackComponents bool
 	// AdversarialAccel swaps the accelerator's pass-through local
 	// controller for the §3.3.3 adversarial one.
 	AdversarialAccel bool
@@ -368,7 +366,7 @@ func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*Syste
 		ledgerSlots[i] = ls
 	}
 
-	rec, err := trace.NewRecorder(cfg.TimeStep, opts.TrackComponents)
+	rec, err := trace.NewRecorder(cfg.TimeStep)
 	if err != nil {
 		return nil, err
 	}
@@ -386,19 +384,18 @@ func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*Syste
 		obs = sched.Observers(ledger, opts.Observer)
 	}
 	eng, err := sched.New(sched.Config{
-		DT:              cfg.TimeStep,
-		GlobalVR:        gvr,
-		Sensor:          sensor,
-		PSN:             line,
-		Droop:           psn.Droop{R: cfg.DroopOhms},
-		Global:          global,
-		Slots:           slots,
-		Recorder:        rec,
-		TrackComponents: opts.TrackComponents,
-		Supervisor:      opts.Supervisor,
-		Observer:        obs,
-		Injector:        opts.Injector,
-		Clamp:           clamp,
+		DT:         cfg.TimeStep,
+		GlobalVR:   gvr,
+		Sensor:     sensor,
+		PSN:        line,
+		Droop:      psn.Droop{R: cfg.DroopOhms},
+		Global:     global,
+		Slots:      slots,
+		Recorder:   rec,
+		Supervisor: opts.Supervisor,
+		Observer:   obs,
+		Injector:   opts.Injector,
+		Clamp:      clamp,
 	})
 	if err != nil {
 		return nil, err

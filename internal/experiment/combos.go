@@ -27,6 +27,11 @@ type Combo struct {
 // String returns the combo's display name.
 func (c Combo) String() string { return c.Name }
 
+// key names the combo's definition: its name and both benchmarks'
+// Benchmark.Key, so a custom combo that reuses a built-in's name is a
+// different combo.
+func (c Combo) key() string { return c.Name + "=" + c.CPU.Key() + "+" + c.GPU.Key() }
+
 func mustCombo(name, alias, cpuClass, gpuClass string) Combo {
 	cpu, err := workload.ByClass(workload.TargetCPU, workload.Class(cpuClass))
 	if err != nil {

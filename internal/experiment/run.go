@@ -38,9 +38,9 @@ type RunSpec struct {
 // via runKey, so reconfiguring an evaluator mid-sequence can never serve
 // a result computed under the old parameters.
 func (s RunSpec) key() string {
-	k := fmt.Sprintf("%s|%s|%s", s.Combo.Name, s.Scheme.Kind, s.Limit.Name)
+	k := fmt.Sprintf("%s|%s|%s", s.Combo.key(), s.Scheme.Kind, s.Limit.Name)
 	if s.Scheme.Kind == config.FixedVoltage {
-		k = fmt.Sprintf("%s|%s|%s|fixed=%g", s.Combo.Name, s.Scheme.Kind, s.Limit.Name, s.Scheme.FixedV)
+		k += fmt.Sprintf("|fixed=%g", s.Scheme.FixedV)
 	}
 	if len(s.Priorities) > 0 {
 		names := make([]string, 0, len(s.Priorities))

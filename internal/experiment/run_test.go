@@ -6,6 +6,7 @@ import (
 
 	"hcapp/internal/config"
 	"hcapp/internal/sim"
+	"hcapp/internal/workload"
 )
 
 // shortEvaluator returns an evaluator with runs short enough for unit
@@ -127,6 +128,54 @@ func TestRunKeyDistinguishesLimitsAndPriorities(t *testing.T) {
 	d.AdversarialAccel = true
 	if c.key() == d.key() {
 		t.Fatal("adversarial flag ignored in cache key")
+	}
+}
+
+// customHiHi is a combo named like the built-in Hi-Hi whose CPU runs a
+// custom benchmark.
+func customHiHi(t *testing.T) Combo {
+	t.Helper()
+	cpu, err := workload.SpecJSON{
+		Name: "ferret", Target: "cpu", Class: "Mid", Kind: "steady",
+		Phases: 6, PhaseDurUS: 80, IPC: 1.1, MemFrac: 0.3,
+		Activity: 0.5, StallAct: 0.1, ActJitter: 0.05,
+	}.Benchmark()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustCombo2(t, "Hi-Hi")
+	c.CPU = cpu
+	return c
+}
+
+// TestRunKeyNamesComboByDefinition: a custom combo that reuses a
+// built-in's name gets its own result on an evaluator that already ran
+// the built-in, not the built-in's cached one.
+func TestRunKeyNamesComboByDefinition(t *testing.T) {
+	hcapp, err := config.SchemeByKind(config.HCAPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtin := RunSpec{Combo: mustCombo2(t, "Hi-Hi"), Scheme: hcapp, Limit: config.PackagePinLimit()}
+	custom := builtin
+	custom.Combo = customHiHi(t)
+	run := func(ev *Evaluator, spec RunSpec) RunResult {
+		t.Helper()
+		r, err := ev.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := run(shortEvaluator(), custom)
+	ev := shortEvaluator()
+	base := run(ev, builtin)
+	if base.AvgPower == want.AvgPower {
+		t.Fatal("the custom and built-in Hi-Hi run alike; the check would prove nothing")
+	}
+	if got := run(ev, custom); got.AvgPower != want.AvgPower || got.Duration != want.Duration {
+		t.Fatalf("custom Hi-Hi after the built-in: avg %g W, want %g W from a fresh evaluator (built-in %g W)",
+			got.AvgPower, want.AvgPower, base.AvgPower)
 	}
 }
 

@@ -33,7 +33,7 @@ func benchEngine(inj *fault.Injector) *Engine {
 		VR: vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95, TransitionTime: 130, SlewRate: 5e6},
 	})
 	load := newCubicLoad("load", 80/(0.95*0.95*0.95), 0, 1e6)
-	rec := trace.MustRecorder(dt, false)
+	rec := trace.MustRecorder(dt)
 	return MustNew(Config{
 		DT: dt, GlobalVR: gvr, Sensor: sensor, PSN: line, Global: global,
 		Slots:    []Slot{{Domain: dom, Comp: load}},

@@ -50,7 +50,7 @@ func faultParts(t *testing.T, o faultOpts) (*Engine, *cubicLoad) {
 		dom.EnableWatchdog(o.watchdog)
 	}
 	load := newCubicLoad("load", 80/(0.95*0.95*0.95), 0, 1e6)
-	rec := trace.MustRecorder(dt, false)
+	rec := trace.MustRecorder(dt)
 	eng := MustNew(Config{
 		DT:       dt,
 		GlobalVR: gvr,

@@ -17,9 +17,9 @@ import (
 )
 
 // trackingEngine builds a fully loaded engine — global controller,
-// component tracking, safety clamp and a fault injector with live
-// events — so the Reset and allocation guards below exercise every
-// piece of per-step state the engine owns.
+// safety clamp and a fault injector with live events — so the Reset
+// and allocation guards below, which attach per-step observers to it,
+// exercise every piece of per-step state the engine owns.
 func trackingEngine(t *testing.T) *Engine {
 	t.Helper()
 	gvr := vr.MustRegulator(vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95, TransitionTime: 150, SlewRate: 5e6})
@@ -38,18 +38,17 @@ func trackingEngine(t *testing.T) *Engine {
 		VR: vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95, TransitionTime: 130, SlewRate: 5e6},
 	})
 	load := newCubicLoad("load", 80/(0.95*0.95*0.95), 0, 1e6)
-	rec := trace.MustRecorder(dt, true)
+	rec := trace.MustRecorder(dt)
 	inj := fault.MustNew(fault.Plan{Name: "mid-run-noise", Seed: 17, Events: []fault.Event{
 		{Class: fault.SensorNoise, Start: 100 * sim.Microsecond, End: 200 * sim.Microsecond, Param: 3},
 	}})
 	clamp := core.MustClamp(core.ClampConfig{CapW: 95, DT: dt})
 	return MustNew(Config{
 		DT: dt, GlobalVR: gvr, Sensor: sensor, PSN: line, Global: global,
-		Slots:           []Slot{{Domain: dom, Comp: load}},
-		Recorder:        rec,
-		TrackComponents: true,
-		Injector:        inj,
-		Clamp:           clamp,
+		Slots:    []Slot{{Domain: dom, Comp: load}},
+		Recorder: rec,
+		Injector: inj,
+		Clamp:    clamp,
 	})
 }
 
@@ -92,36 +91,27 @@ func TestRunWholeStepsOnly(t *testing.T) {
 }
 
 // TestResetRunByteIdentical is the Reset audit's acceptance test: on a
-// fully loaded engine (global controller, tracking recorder, clamp,
-// injector with mid-run events), Run → Reset → Run must reproduce the
-// trace bit for bit — any engine field missed by Reset shows up here
-// as a diverging sample.
+// fully loaded engine (global controller, clamp, injector with mid-run
+// events), Run → Reset → Run must reproduce the power trace and every
+// step's rail, per-slot power and domain voltage bit for bit — any
+// engine field missed by Reset shows up here as a diverging sample.
 func TestResetRunByteIdentical(t *testing.T) {
 	eng := trackingEngine(t)
 	const span = 300 * sim.Microsecond // crosses the fault window both ways
 
-	capture := func() ([]float64, map[string][]float64) {
+	capture := func() ([]float64, *SlotLog) {
+		log := NewSlotLog(eng)
+		eng.SetObserver(log)
 		eng.RunFor(span)
-		rec := eng.Recorder()
-		totals := append([]float64(nil), rec.Totals()...)
-		cols := make(map[string][]float64)
-		for _, name := range rec.ComponentNames() {
-			pts := rec.ComponentSeries(name, dt)
-			vals := make([]float64, len(pts))
-			for i, p := range pts {
-				vals[i] = p.P
-			}
-			cols[name] = vals
-		}
-		return totals, cols
+		return append([]float64(nil), eng.Recorder().Totals()...), log
 	}
 
-	t1, c1 := capture()
+	t1, l1 := capture()
 	eng.Reset()
 	if eng.Now() != 0 || eng.Steps() != 0 || eng.Recorder().Steps() != 0 {
 		t.Fatal("reset left the clock or trace non-empty")
 	}
-	t2, c2 := capture()
+	t2, l2 := capture()
 
 	if len(t1) != len(t2) {
 		t.Fatalf("trace lengths differ after reset: %d vs %d", len(t1), len(t2))
@@ -131,31 +121,18 @@ func TestResetRunByteIdentical(t *testing.T) {
 			t.Fatalf("totals diverge at step %d: %g vs %g", i, t1[i], t2[i])
 		}
 	}
-	if len(c1) != len(c2) {
-		t.Fatalf("column sets differ: %d vs %d", len(c1), len(c2))
-	}
-	for name, v1 := range c1 {
-		v2, ok := c2[name]
-		if !ok {
-			t.Fatalf("column %q missing after reset", name)
-		}
-		if len(v1) != len(v2) {
-			t.Fatalf("column %q lengths differ: %d vs %d", name, len(v1), len(v2))
-		}
-		for i := range v1 {
-			if v1[i] != v2[i] {
-				t.Fatalf("column %q diverges at %d: %g vs %g", name, i, v1[i], v2[i])
-			}
-		}
+	if d := l1.Diff(l2); d != "" {
+		t.Fatalf("per-step log diverges after reset: %s", d)
 	}
 }
 
 // TestStepSteadyStateZeroAllocs is the zero-allocation contract on the
-// fully tracked hot path: once the trace buffers are sized, stepping
-// the engine — including global control, component tracking, the
-// clamp comparator and an attached injector — allocates nothing.
-// Recorder capacity is reserved up front so the guard measures the
-// step loop, not slice growth.
+// fully traced hot path: once the trace buffers are sized, stepping
+// the engine — including global control, the clamp comparator, an
+// attached injector and the per-component sampler `hcappsim trace
+// -fig 3` draws with — allocates nothing. Recorder and sampler
+// capacity is reserved up front so the guard measures the step loop,
+// not slice growth.
 func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates in instrumented code")
@@ -163,16 +140,24 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	eng := trackingEngine(t)
 	const span = 1024 // steps per measured run
 	const runs = 5
+	const bucket = 10 // steps per sampler bucket
+	sampler := NewSampler(eng, bucket*dt)
+	eng.SetObserver(sampler)
 	// Warm-up faults in code paths (including the fault window, so the
 	// injector's active-event machinery is exercised and sized).
 	eng.RunFor(300 * sim.Microsecond)
 	eng.Recorder().Grow((runs + 2) * span)
+	sampler.Grow((runs+2)*span/bucket + 1)
+	before := len(sampler.Rail())
 	allocs := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < span; i++ {
 			eng.now += dt
 			eng.step()
 		}
 	})
+	if got := len(sampler.Rail()) - before; got < runs*span/bucket {
+		t.Fatalf("sampler closed %d buckets over the measured runs, want at least %d", got, runs*span/bucket)
+	}
 	if allocs != 0 {
 		t.Fatalf("steady-state step allocates %.1f times per %d steps, want 0", allocs, span)
 	}
@@ -266,14 +251,12 @@ func mixedRatioEngine(t *testing.T) (*Engine, *chiplet.Chiplet) {
 			Domain: core.MustDomain("cpu", config.DomainConfig{Scale: 1.0, VMin: 0.6, VMax: 1.2, VR: regCfg}),
 			Comp:   chip,
 		}},
-		Recorder:        trace.MustRecorder(dt, true),
-		TrackComponents: true,
+		Recorder: trace.MustRecorder(dt),
 	})
 	return eng, chip
 }
 
-// stridingEngine is a fixed-rail, fully tracked engine of two constant
-// loads under obs: every slot can bulk-step and nothing perturbs the
+// stridingEngine is a fixed-rail engine of two constant loads under obs: every slot can bulk-step and nothing perturbs the
 // rail, so once the delay lines fill every run is one long stride.
 func stridingEngine(t *testing.T, obs StepObserver) *Engine {
 	t.Helper()
@@ -288,8 +271,7 @@ func stridingEngine(t *testing.T, obs StepObserver) *Engine {
 			{Domain: core.MustDomain("cpu", domCfg), Comp: chiplet.NewConstant("cpu", 30)},
 			{Domain: core.MustDomain("mem", domCfg), Comp: chiplet.NewConstant("mem", 5)},
 		},
-		Recorder:        trace.MustRecorder(dt, true),
-		TrackComponents: true,
-		Observer:        obs,
+		Recorder: trace.MustRecorder(dt),
+		Observer: obs,
 	})
 }

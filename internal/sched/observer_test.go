@@ -57,7 +57,7 @@ func observedEngine(t *testing.T, obs StepObserver) *Engine {
 			{Domain: core.MustDomain("cpu", domCfg), Comp: newCubicLoad("cpu", 30, 0, 1e6)},
 			{Domain: core.MustDomain("gpu", domCfg), Comp: newCubicLoad("gpu", 50, 0, 1e6)},
 		},
-		Recorder: trace.MustRecorder(dt, false),
+		Recorder: trace.MustRecorder(dt),
 		Observer: obs,
 	})
 }

@@ -122,8 +122,6 @@ type Config struct {
 	Slots  []Slot
 	// Recorder receives the power trace; required.
 	Recorder *trace.Recorder
-	// TrackComponents mirrors the recorder's per-component tracking.
-	TrackComponents bool
 	// Supervisor, when non-nil, runs on its own period (software
 	// control on top of HCAPP, §5.3/§6).
 	Supervisor Supervisor
@@ -165,9 +163,8 @@ const (
 // Engine is the central simulation controller. Per-slot hot-path state
 // is compiled into parallel arrays at construction (struct-of-arrays):
 // the step loop indexes flat slices instead of chasing interface
-// pointers, recorder keys are pre-registered column indices, and
-// completion is a counter maintained on the done edge instead of a
-// per-step rescan.
+// pointers, and completion is a counter maintained on the done edge
+// instead of a per-step rescan.
 type Engine struct {
 	cfg       Config
 	now       sim.Time
@@ -196,7 +193,6 @@ type Engine struct {
 	injIdleUntil sim.Time
 
 	// Compiled slot table. All slices are len(cfg.Slots).
-	track    bool // component tracking on AND the recorder records it
 	kinds    []slotKind
 	doms     []*core.Domain
 	domNames []string
@@ -205,9 +201,6 @@ type Engine struct {
 	consts   []*chiplet.Constant
 	comps    []sim.Component
 	bulks    []sim.BulkStepper // nil for components without bulk stepping
-	compCols []int             // recorder column per component
-	voltCols []int             // recorder column per "voltage:<domain>"
-	railCol  int               // recorder column for "voltage:rail"
 	vdom     []float64         // last step's domain voltages
 	pw       []float64         // last step's per-component power
 	doneFlag []bool            // completion cache (non-generic slots)
@@ -263,12 +256,9 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // compile builds the struct-of-arrays slot table: concrete dispatch
-// kinds, prefilled recorder columns (the per-step "voltage:"+name
-// concatenation used to allocate on every tracked step), and the
-// completion cache.
+// kinds and the completion cache.
 func (e *Engine) compile() {
 	n := len(e.cfg.Slots)
-	e.track = e.cfg.TrackComponents && e.cfg.Recorder.Tracking()
 	e.kinds = make([]slotKind, n)
 	e.doms = make([]*core.Domain, n)
 	e.domNames = make([]string, n)
@@ -277,16 +267,10 @@ func (e *Engine) compile() {
 	e.consts = make([]*chiplet.Constant, n)
 	e.comps = make([]sim.Component, n)
 	e.bulks = make([]sim.BulkStepper, n)
-	e.compCols = make([]int, n)
-	e.voltCols = make([]int, n)
 	e.vdom = make([]float64, n)
 	e.pw = make([]float64, n)
 	e.doneFlag = make([]bool, n)
 	e.generics = nil
-	e.railCol = -1
-	if e.track {
-		e.railCol = e.cfg.Recorder.Column("voltage:rail")
-	}
 	for i, s := range e.cfg.Slots {
 		e.doms[i] = s.Domain
 		e.domNames[i] = s.Domain.Name()
@@ -305,12 +289,6 @@ func (e *Engine) compile() {
 		default:
 			e.kinds[i] = slotGeneric
 			e.generics = append(e.generics, i)
-		}
-		e.compCols[i] = -1
-		e.voltCols[i] = -1
-		if e.track {
-			e.compCols[i] = e.cfg.Recorder.Column(s.Comp.Name())
-			e.voltCols[i] = e.cfg.Recorder.Column("voltage:" + s.Domain.Name())
 		}
 	}
 	e.resetDoneCache()
@@ -497,9 +475,6 @@ func (e *Engine) step() {
 
 	// 3. Domains and components, through the compiled slot table.
 	total := 0.0
-	if e.track {
-		e.cfg.Recorder.RecordColumn(e.railCol, vrail)
-	}
 	for i := range e.kinds {
 		d := e.doms[i]
 		var vdom float64
@@ -522,10 +497,6 @@ func (e *Engine) step() {
 		e.vdom[i] = vdom
 		e.pw[i] = res.Power
 		total += res.Power
-		if e.track {
-			e.cfg.Recorder.RecordColumn(e.compCols[i], res.Power)
-			e.cfg.Recorder.RecordColumn(e.voltCols[i], vdom)
-		}
 		if e.obsBuf != nil {
 			e.obsBuf[i].Power = res.Power
 			e.obsBuf[i].Voltage = vdom
@@ -708,13 +679,6 @@ func (e *Engine) stride(n int64) {
 		cfg.Clamp.AdvanceN(n)
 	}
 	cfg.Recorder.RecordN(e.lastTotal, int(n))
-	if e.track {
-		cfg.Recorder.RecordColumnN(e.railCol, e.lastVrail, int(n))
-		for i := range e.kinds {
-			cfg.Recorder.RecordColumnN(e.compCols[i], e.pw[i], int(n))
-			cfg.Recorder.RecordColumnN(e.voltCols[i], e.vdom[i], int(n))
-		}
-	}
 	e.now += sim.Time(n) * dt
 	e.lastGoodSense = e.now
 	e.steps += n
@@ -779,6 +743,12 @@ func (e *Engine) StridedSteps() int64 { return e.stridedSteps }
 // LastTotalPower returns the package power drawn on the most recent
 // step (telemetry for supervisors).
 func (e *Engine) LastTotalPower() float64 { return e.lastTotal }
+
+// LastRail returns the rail voltage the most recent step delivered to
+// the domains, after PSN delay, droop and any injected rail fault. A
+// step observer reads it for the step it is told about: strided steps
+// replay the last step, so they share its rail.
+func (e *Engine) LastRail() float64 { return e.lastVrail }
 
 func (e *Engine) allDone() bool {
 	if e.notDone > 0 {

@@ -74,7 +74,7 @@ func testParts(t *testing.T, withGlobal bool, work float64) (*Engine, *cubicLoad
 	}
 	dom := core.MustDomain("load", domCfg)
 	load := newCubicLoad("load", 80/(0.95*0.95*0.95), work, 1e6)
-	rec := trace.MustRecorder(dt, false)
+	rec := trace.MustRecorder(dt)
 	eng := MustNew(Config{
 		DT:       dt,
 		GlobalVR: gvr,
@@ -91,7 +91,7 @@ func TestNewValidation(t *testing.T) {
 	gvr := vr.MustRegulator(vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95})
 	sensor := vr.MustSensor(vr.SensorConfig{}, dt)
 	line := psn.MustDelayLine(0, dt, 0.95)
-	rec := trace.MustRecorder(dt, false)
+	rec := trace.MustRecorder(dt)
 	dom := core.MustDomain("x", config.DomainConfig{
 		Scale: 1, VMin: 0.6, VMax: 1.2,
 		VR: vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95},
@@ -253,7 +253,7 @@ func TestDroopReducesDeliveredVoltage(t *testing.T) {
 			VR: vr.RegulatorConfig{VMin: 0.4, VMax: 1.2, VInit: 0.95},
 		})
 		load := newCubicLoad("load", 100, 0, 1)
-		rec := trace.MustRecorder(dt, false)
+		rec := trace.MustRecorder(dt)
 		eng := MustNew(Config{
 			DT: dt, GlobalVR: gvr, Sensor: sensor, PSN: line,
 			Droop: psn.Droop{R: r},
@@ -267,6 +267,10 @@ func TestDroopReducesDeliveredVoltage(t *testing.T) {
 	}
 }
 
+// TestVoltageTracking: a step observer reads the post-PSN rail through
+// LastRail and each domain's output voltage from its samples; their
+// 1 µs means settle at the commanded 0.95 V and the domain's scaled
+// 0.7125 V.
 func TestVoltageTracking(t *testing.T) {
 	gvr := vr.MustRegulator(vr.RegulatorConfig{VMin: 0.6, VMax: 1.2, VInit: 0.95})
 	sensor := vr.MustSensor(vr.SensorConfig{}, dt)
@@ -276,22 +280,22 @@ func TestVoltageTracking(t *testing.T) {
 		VR: vr.RegulatorConfig{VMin: 0.5, VMax: 1.0, VInit: 0.7125},
 	})
 	load := newCubicLoad("load", 50, 0, 1)
-	rec := trace.MustRecorder(dt, true)
 	eng := MustNew(Config{
 		DT: dt, GlobalVR: gvr, Sensor: sensor, PSN: line,
-		Slots:           []Slot{{Domain: dom, Comp: load}},
-		Recorder:        rec,
-		TrackComponents: true,
+		Slots:    []Slot{{Domain: dom, Comp: load}},
+		Recorder: trace.MustRecorder(dt),
 	})
+	log := NewSlotLog(eng)
+	eng.SetObserver(log)
 	eng.RunFor(20 * sim.Microsecond)
-	rail := rec.ComponentSeries("voltage:rail", sim.Microsecond)
+	rail := ComponentSeries(log.Rail, dt, sim.Microsecond)
 	if len(rail) == 0 {
 		t.Fatal("no rail voltage series recorded")
 	}
 	if math.Abs(rail[len(rail)-1].P-0.95) > 0.01 {
 		t.Fatalf("rail voltage %g, want ≈0.95", rail[len(rail)-1].P)
 	}
-	domV := rec.ComponentSeries("voltage:load", sim.Microsecond)
+	domV := ComponentSeries(log.Voltage[0], dt, sim.Microsecond)
 	if len(domV) == 0 {
 		t.Fatal("no domain voltage series recorded")
 	}

@@ -116,8 +116,9 @@ func TestStridedMatchesFixedTraces(t *testing.T) {
 // TestStridedTopologyMatchesFixed: a custom topology's components are
 // the engine's own concrete types, named when built, so a Burst-Burst
 // package with a second accelerator strides — on a fixed rail and
-// under HCAPP — and its completions and whole trace, per-component
-// columns included, equal the fixed-step reference bit for bit.
+// under HCAPP — and its completions, whole power trace and every
+// step's rail, per-slot power and domain voltage (a sched.SlotLog)
+// equal the fixed-step reference bit for bit.
 func TestStridedTopologyMatchesFixed(t *testing.T) {
 	hcapp, err := config.SchemeByKind(config.HCAPP)
 	if err != nil {
@@ -136,11 +137,12 @@ func TestStridedTopologyMatchesFixed(t *testing.T) {
 	}
 	const horizon = 2 * sim.Millisecond
 	for _, opts := range []experiment.BuildOptions{
-		{Scheme: fixedRail, TrackComponents: true},
-		{Scheme: hcapp, TargetPower: 120, TrackComponents: true},
+		{Scheme: fixedRail},
+		{Scheme: hcapp, TargetPower: 120},
 	} {
 		type run struct {
 			eng *sched.Engine
+			log *sched.SlotLog
 			res sched.Result
 		}
 		f, s := paired(func() run {
@@ -148,7 +150,9 @@ func TestStridedTopologyMatchesFixed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return run{eng, eng.Run(horizon)}
+			log := sched.NewSlotLog(eng)
+			eng.SetObserver(log)
+			return run{eng, log, eng.Run(horizon)}
 		})
 		label := string(opts.Scheme.Kind)
 		if f.eng.StridedSteps() != 0 {
@@ -162,6 +166,9 @@ func TestStridedTopologyMatchesFixed(t *testing.T) {
 		}
 		if !reflect.DeepEqual(f.eng.Recorder(), s.eng.Recorder()) {
 			t.Fatalf("%s: strided trace diverges from the fixed-step reference", label)
+		}
+		if d := f.log.Diff(s.log); d != "" {
+			t.Fatalf("%s: strided per-step log diverges from the fixed-step reference: %s", label, d)
 		}
 		t.Logf("%s: strided %d of %d steps", label, s.eng.StridedSteps(), s.eng.Steps())
 	}
@@ -236,6 +243,48 @@ func TestObservedEngineStrides(t *testing.T) {
 		}
 		if fs, ss := f.sys.Energy.Summary(), s.sys.Energy.Summary(); !reflect.DeepEqual(fs, ss) {
 			t.Fatalf("%s: ledger diverges:\nfixed   %+v\nstrided %+v", label, fs, ss)
+		}
+	}
+}
+
+// TestSamplerOnBuiltSystem holds the `hcappsim trace -fig 3` sampler to
+// the frozen bucket arithmetic (sched.ComponentSeries over a per-step
+// sched.SlotLog) on the built paper package, fixed-step and strided, on
+// a fixed rail and under HCAPP, with 30 µs buckets that do not divide
+// the 1 ms run; both modes' samplers must agree bit for bit.
+func TestSamplerOnBuiltSystem(t *testing.T) {
+	hcapp, err := config.SchemeByKind(config.HCAPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dur, every = sim.Millisecond, 30 * sim.Microsecond
+	for _, scheme := range []config.Scheme{fixedRail, hcapp} {
+		type run struct {
+			eng     *sched.Engine
+			sampler *sched.Sampler
+			log     *sched.SlotLog
+		}
+		f, s := paired(func() run {
+			eng := buildSystem(t, "Burst-Burst", scheme, dur, nil, false).Engine
+			r := run{eng, sched.NewSampler(eng, every), sched.NewSlotLog(eng)}
+			eng.SetObserver(sched.Observers(r.sampler, r.log))
+			eng.RunFor(dur)
+			return r
+		})
+		label := string(scheme.Kind)
+		if s.eng.StridedSteps() == 0 {
+			t.Fatalf("%s: never strided", label)
+		}
+		for _, r := range []run{f, s} {
+			if d := sched.SamplerDiff(r.sampler, r.log, every); d != "" {
+				t.Fatalf("%s: sampler %s diverges from the frozen bucket arithmetic", label, d)
+			}
+		}
+		if d := f.log.Diff(s.log); d != "" {
+			t.Fatalf("%s: strided per-step log diverges from the fixed-step reference: %s", label, d)
+		}
+		if n := len(s.sampler.Rail()); n != int(dur/every) {
+			t.Fatalf("%s: %d buckets, want %d", label, n, dur/every)
 		}
 	}
 }

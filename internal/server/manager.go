@@ -413,7 +413,10 @@ func (mgr *Manager) simulate(ctx context.Context, ev *experiment.Evaluator, spec
 // Execute (not RunBatch) to avoid charging twice.
 func (mgr *Manager) delegate(ctx context.Context, j *Job) (experiment.RunResult, error) {
 	params := cluster.DefaultParams(j.seed, j.dur)
-	wire := cluster.SpecOf(j.spec)
+	wire, err := cluster.SpecOf(j.spec)
+	if err != nil {
+		return experiment.RunResult{}, err
+	}
 	resp, err := mgr.cluster.Execute(ctx, cluster.RunRequest{
 		Tenant:   j.req.Tenant,
 		Priority: cluster.PriorityInteractive,

@@ -177,7 +177,7 @@ func buildEngine(t *testing.T, sup sched.Supervisor) (*sched.Engine, *progComp, 
 			{Domain: core.MustDomain("cpu", domCfg), Comp: a},
 			{Domain: core.MustDomain("gpu", domCfg), Comp: b},
 		},
-		Recorder:   trace.MustRecorder(dt, false),
+		Recorder:   trace.MustRecorder(dt),
 		Supervisor: sup,
 	})
 	return eng, a, b

@@ -18,7 +18,7 @@ func FuzzMaxWindowAvg(f *testing.F) {
 			return
 		}
 		k := int(kRaw%32) + 1
-		r := MustRecorder(100, false)
+		r := MustRecorder(100)
 		ps := make([]float64, len(raw))
 		for i, b := range raw {
 			ps[i] = float64(b)

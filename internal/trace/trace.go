@@ -13,66 +13,29 @@ import (
 	"hcapp/internal/sim"
 )
 
-// column is one named per-step series (a component's power, a rail
-// voltage). Columns live in a slice — not a map — so the engine's hot
-// loop appends through a prefetched index with no hashing and no
-// per-step key allocation.
-type column struct {
-	name    string
-	samples []float64
-}
-
 // Recorder accumulates one power sample per engine step.
 type Recorder struct {
 	dt      sim.Time
 	total   []float64
-	cols    []column
-	colIdx  map[string]int // name → index into cols
-	track   bool
 	prefix  []float64 // lazy prefix sums over total
 	prefixN int
 }
 
-// NewRecorder returns a recorder for steps of dt. trackComponents enables
-// per-component series (used by the trace tool; costs memory).
-func NewRecorder(dt sim.Time, trackComponents bool) (*Recorder, error) {
+// NewRecorder returns a recorder for steps of dt.
+func NewRecorder(dt sim.Time) (*Recorder, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("trace: non-positive timestep %d", dt)
 	}
-	r := &Recorder{dt: dt, track: trackComponents}
-	if trackComponents {
-		r.colIdx = make(map[string]int)
-	}
-	return r, nil
+	return &Recorder{dt: dt}, nil
 }
 
 // MustRecorder is NewRecorder that panics on invalid input.
-func MustRecorder(dt sim.Time, trackComponents bool) *Recorder {
-	r, err := NewRecorder(dt, trackComponents)
+func MustRecorder(dt sim.Time) *Recorder {
+	r, err := NewRecorder(dt)
 	if err != nil {
 		panic(err)
 	}
 	return r
-}
-
-// Tracking reports whether per-component series are recorded.
-func (r *Recorder) Tracking() bool { return r.track }
-
-// Column registers (or looks up) a named per-component series and
-// returns its index for RecordColumn. Registering up front moves the
-// name hash and any string concatenation out of the step loop. Returns
-// -1 when tracking is disabled.
-func (r *Recorder) Column(name string) int {
-	if !r.track {
-		return -1
-	}
-	if idx, ok := r.colIdx[name]; ok {
-		return idx
-	}
-	idx := len(r.cols)
-	r.cols = append(r.cols, column{name: name})
-	r.colIdx[name] = idx
-	return idx
 }
 
 // Record appends one step's total package power.
@@ -81,55 +44,22 @@ func (r *Recorder) Record(total float64) {
 }
 
 // RecordN appends n identical total-power samples — the recorder half
-// of a steady-state stride.
+// of a steady-state stride: one capacity check, then a fill.
 func (r *Recorder) RecordN(total float64, n int) {
-	r.total = appendN(r.total, total, n)
-}
-
-// RecordColumn appends one step's sample to a registered column. Call
-// once per column per step when tracking is enabled; idx -1 (tracking
-// disabled) is a no-op.
-func (r *Recorder) RecordColumn(idx int, p float64) {
-	if idx < 0 {
-		return
-	}
-	c := &r.cols[idx]
-	c.samples = append(c.samples, p)
-}
-
-// RecordColumnN appends n identical samples to a registered column.
-func (r *Recorder) RecordColumnN(idx int, p float64, n int) {
-	if idx < 0 {
-		return
-	}
-	c := &r.cols[idx]
-	c.samples = appendN(c.samples, p, n)
-}
-
-// appendN appends n copies of v to s: one capacity check, then a fill.
-func appendN(s []float64, v float64, n int) []float64 {
 	if n <= 0 {
-		return s
+		return
 	}
-	start := len(s)
-	s = slices.Grow(s, n)[:start+n]
-	tail := s[start:]
+	start := len(r.total)
+	r.total = slices.Grow(r.total, n)[:start+n]
+	tail := r.total[start:]
 	for i := range tail {
-		tail[i] = v
+		tail[i] = total
 	}
-	return s
 }
 
-// RecordComponent appends one step's power for a named component — the
-// by-name convenience wrapper around Column/RecordColumn. Call once per
-// component per step when tracking is enabled.
-func (r *Recorder) RecordComponent(name string, p float64) {
-	r.RecordColumn(r.Column(name), p)
-}
-
-// Grow reserves capacity for n more steps in the total series and every
-// registered column, so a sized run appends without reallocating — the
-// preallocation the engine's zero-alloc steady-state guard relies on.
+// Grow reserves capacity for n more steps, so a sized run appends
+// without reallocating — the preallocation the engine's zero-alloc
+// steady-state guard relies on.
 func (r *Recorder) Grow(n int) {
 	if n <= 0 {
 		return
@@ -138,14 +68,6 @@ func (r *Recorder) Grow(n int) {
 		grown := make([]float64, len(r.total), len(r.total)+n)
 		copy(grown, r.total)
 		r.total = grown
-	}
-	for i := range r.cols {
-		c := &r.cols[i]
-		if cap(c.samples)-len(c.samples) < n {
-			grown := make([]float64, len(c.samples), len(c.samples)+n)
-			copy(grown, c.samples)
-			c.samples = grown
-		}
 	}
 }
 
@@ -282,50 +204,11 @@ func (r *Recorder) WindowSeries(window, sampleEvery sim.Time) []Point {
 	return out
 }
 
-// ComponentSeries returns a component's down-sampled series, or nil if
-// tracking was disabled or the name unknown.
-func (r *Recorder) ComponentSeries(name string, sampleEvery sim.Time) []Point {
-	if !r.track {
-		return nil
-	}
-	idx, ok := r.colIdx[name]
-	if !ok {
-		return nil
-	}
-	samples := r.cols[idx].samples
-	k := int(sampleEvery / r.dt)
-	if k < 1 {
-		k = 1
-	}
-	var out []Point
-	sum := 0.0
-	for i, p := range samples {
-		sum += p
-		if (i+1)%k == 0 {
-			out = append(out, Point{T: sim.Time(i+1) * r.dt, P: sum / float64(k)})
-			sum = 0
-		}
-	}
-	return out
-}
-
-// ComponentNames lists tracked components in registration order.
-func (r *Recorder) ComponentNames() []string {
-	names := make([]string, 0, len(r.cols))
-	for _, c := range r.cols {
-		names = append(names, c.name)
-	}
-	return names
-}
-
-// Reset clears all samples for reuse. Column registrations and every
-// backing array's capacity are kept, so a warmed-up recorder records
-// the next run without allocating.
+// Reset clears all samples for reuse. The backing arrays' capacity is
+// kept, so a warmed-up recorder records the next run without
+// allocating.
 func (r *Recorder) Reset() {
 	r.total = r.total[:0]
 	r.prefix = r.prefix[:0]
 	r.prefixN = 0
-	for i := range r.cols {
-		r.cols[i].samples = r.cols[i].samples[:0]
-	}
 }

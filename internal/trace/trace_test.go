@@ -10,10 +10,10 @@ import (
 )
 
 func TestNewRecorderErrors(t *testing.T) {
-	if _, err := NewRecorder(0, false); err == nil {
+	if _, err := NewRecorder(0); err == nil {
 		t.Fatal("zero timestep accepted")
 	}
-	if _, err := NewRecorder(-5, false); err == nil {
+	if _, err := NewRecorder(-5); err == nil {
 		t.Fatal("negative timestep accepted")
 	}
 }
@@ -24,11 +24,11 @@ func TestMustRecorderPanics(t *testing.T) {
 			t.Fatal("MustRecorder did not panic")
 		}
 	}()
-	MustRecorder(0, false)
+	MustRecorder(0)
 }
 
 func TestAvgPower(t *testing.T) {
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	for _, p := range []float64{10, 20, 30} {
 		r.Record(p)
 	}
@@ -47,7 +47,7 @@ func TestAvgPower(t *testing.T) {
 }
 
 func TestAvgPowerEmpty(t *testing.T) {
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	if got := r.AvgPower(); got != 0 {
 		t.Fatalf("empty AvgPower = %g", got)
 	}
@@ -58,7 +58,7 @@ func TestAvgPowerEmpty(t *testing.T) {
 
 func TestPPE(t *testing.T) {
 	// Eq. 4: PPE = AveragePower / SystemProvisionedPower.
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	for i := 0; i < 10; i++ {
 		r.Record(80)
 	}
@@ -71,7 +71,7 @@ func TestPPE(t *testing.T) {
 }
 
 func TestMaxWindowAvgExact(t *testing.T) {
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	// 10 steps at 50 W, then 5 steps at 150 W, then 10 at 50 W.
 	for i := 0; i < 10; i++ {
 		r.Record(50)
@@ -98,7 +98,7 @@ func TestMaxWindowAvgExact(t *testing.T) {
 }
 
 func TestMaxWindowAvgSubStepWindow(t *testing.T) {
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	r.Record(10)
 	r.Record(99)
 	if got := r.MaxWindowAvg(10); got != 99 {
@@ -107,7 +107,7 @@ func TestMaxWindowAvgSubStepWindow(t *testing.T) {
 }
 
 func TestViolates(t *testing.T) {
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	for i := 0; i < 100; i++ {
 		r.Record(90)
 	}
@@ -148,7 +148,7 @@ func TestMaxWindowAvgMatchesNaiveProperty(t *testing.T) {
 	f := func(nRaw, kRaw uint8) bool {
 		n := int(nRaw%64) + 1
 		k := int(kRaw%16) + 1
-		r := MustRecorder(100, false)
+		r := MustRecorder(100)
 		ps := make([]float64, n)
 		for i := range ps {
 			ps[i] = rng.Float64() * 150
@@ -165,7 +165,7 @@ func TestMaxWindowAvgMatchesNaiveProperty(t *testing.T) {
 
 func TestIncrementalPrefixConsistency(t *testing.T) {
 	// Interleaving queries and records must not corrupt the prefix sums.
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	r.Record(10)
 	_ = r.AvgPower()
 	r.Record(30)
@@ -179,7 +179,7 @@ func TestIncrementalPrefixConsistency(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	for i := 1; i <= 10; i++ {
 		r.Record(float64(i * 10))
 	}
@@ -196,7 +196,7 @@ func TestSeries(t *testing.T) {
 }
 
 func TestWindowSeries(t *testing.T) {
-	r := MustRecorder(100, false)
+	r := MustRecorder(100)
 	for i := 0; i < 20; i++ {
 		p := 50.0
 		if i >= 10 {
@@ -218,47 +218,15 @@ func TestWindowSeries(t *testing.T) {
 	}
 }
 
-func TestComponentTracking(t *testing.T) {
-	r := MustRecorder(100, true)
-	for i := 0; i < 4; i++ {
-		r.Record(100)
-		r.RecordComponent("cpu", 60)
-		r.RecordComponent("gpu", 40)
-	}
-	pts := r.ComponentSeries("cpu", 200)
-	if len(pts) != 2 || pts[0].P != 60 {
-		t.Fatalf("cpu series %+v", pts)
-	}
-	if r.ComponentSeries("nope", 200) != nil {
-		t.Fatal("unknown component returned data")
-	}
-	names := r.ComponentNames()
-	if len(names) != 2 {
-		t.Fatalf("component names %v", names)
-	}
-}
-
-func TestComponentTrackingDisabled(t *testing.T) {
-	r := MustRecorder(100, false)
-	r.RecordComponent("cpu", 60) // must be a no-op
-	if r.ComponentSeries("cpu", 100) != nil {
-		t.Fatal("tracking disabled but series returned")
-	}
-}
-
 func TestReset(t *testing.T) {
-	r := MustRecorder(100, true)
+	r := MustRecorder(100)
 	for i := 0; i < 10; i++ {
 		r.Record(50)
-		r.RecordComponent("cpu", 25)
 	}
 	_ = r.AvgPower() // force prefix build
 	r.Reset()
 	if r.Steps() != 0 || r.AvgPower() != 0 {
 		t.Fatal("reset incomplete")
-	}
-	if r.ComponentSeries("cpu", 100) != nil {
-		t.Fatal("component data survived reset")
 	}
 	r.Record(70)
 	if got := r.AvgPower(); got != 70 {

@@ -102,8 +102,11 @@ diff -u "$tmp/all-fixed.out" "$tmp/all-strided.out"
 diff -u "$tmp/seeds-fixed.out" "$tmp/seeds-strided.out"
 # The trace and tune subcommands drive engines directly rather than
 # through the experiment registry, so they are diffed on their own. Fig. 2
-# runs 12 ms: its 10 ms window emits no rows in a shorter trace.
+# runs 12 ms: its 10 ms window emits no rows in a shorter trace. Fig. 3's
+# sampler replays every stride step by step; the fixed rail and the
+# Burst-Burst HCAPP run both stride, so they exercise that replay.
 for args in "trace -fig 1 -dur 1" "trace -fig 2 -dur 12" "trace -fig 3 -scheme hcapp -dur 1" \
+	"trace -fig 3 -dur 2" "trace -fig 3 -combo Burst-Burst -scheme hcapp -dur 2" \
 	"tune -mode probe -dur 1" "tune -mode pid -dur 1"; do
 	"$tmp/hcappsim-fixed" $args >"$tmp/sub-fixed.out"
 	"$tmp/hcappsim" $args >"$tmp/sub-strided.out"
