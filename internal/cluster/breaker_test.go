@@ -122,7 +122,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	p := testParams()
 	items := testItems(t, 6)
-	want := localResults(t, p, items)
+	want := localResults(t, p, items, false)
 
 	// Each batch round gives the flaky worker one slice failure, then
 	// marks it dead; a heartbeat revives it for the next batch. Three
@@ -231,7 +231,7 @@ func TestHedgeStragglerSlice(t *testing.T) {
 	if execErr != nil {
 		t.Fatal(execErr)
 	}
-	want := localResults(t, p, items)
+	want := localResults(t, p, items, false)
 	if resp.Results[0].Error != "" {
 		t.Fatalf("hedged item failed: %s", resp.Results[0].Error)
 	}

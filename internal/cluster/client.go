@@ -108,15 +108,12 @@ func (c *Client) Ping(ctx context.Context, patience time.Duration) error {
 	}
 }
 
-// Run submits one batch and returns its index-aligned results, retrying
+// Run submits one batch under the client's Tenant and Priority (they
+// replace req's) and returns its index-aligned results, retrying
 // transport-level failures per the client's backoff policy.
-func (c *Client) Run(ctx context.Context, params Params, items []Item) (*RunResponse, error) {
-	body, err := json.Marshal(RunRequest{
-		Tenant:   c.Tenant,
-		Priority: c.Priority,
-		Params:   params,
-		Items:    items,
-	})
+func (c *Client) Run(ctx context.Context, req RunRequest) (*RunResponse, error) {
+	req.Tenant, req.Priority = c.Tenant, c.Priority
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +126,7 @@ func (c *Client) Run(ctx context.Context, params Params, items []Item) (*RunResp
 				return nil, err
 			}
 		}
-		resp, retryable, ra, err := c.runOnce(ctx, body, len(items))
+		resp, retryable, ra, err := c.runOnce(ctx, body, len(req.Items))
 		if err == nil {
 			return resp, nil
 		}
@@ -192,18 +189,23 @@ func (c *Client) runOnce(ctx context.Context, body []byte, n int) (_ *RunRespons
 }
 
 // RunRemote implements experiment.RemoteRunner: one uncached spec
-// becomes a one-item fleet batch.
-func (c *Client) RunRemote(ctx context.Context, seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, spec experiment.RunSpec) (experiment.RunResult, error) {
+// becomes a one-item fleet batch, whose reply carries the energy
+// summary only when trackEnergy asks for it.
+func (c *Client) RunRemote(ctx context.Context, seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, trackEnergy bool, spec experiment.RunSpec) (experiment.RunResult, error) {
 	wire, err := SpecOf(spec)
 	if err != nil {
 		return experiment.RunResult{}, err
 	}
-	resp, err := c.Run(ctx, Params{
-		Seed:         seed,
-		TargetDurNS:  targetDur,
-		MaxDurFactor: maxDurFactor,
-		FixedV:       fixedV,
-	}, []Item{{Spec: &wire}})
+	resp, err := c.Run(ctx, RunRequest{
+		Params: Params{
+			Seed:         seed,
+			TargetDurNS:  targetDur,
+			MaxDurFactor: maxDurFactor,
+			FixedV:       fixedV,
+		},
+		Items:  []Item{{Spec: &wire}},
+		Energy: trackEnergy,
+	})
 	if err != nil {
 		return experiment.RunResult{}, err
 	}
@@ -218,11 +220,16 @@ func (c *Client) RunRemote(ctx context.Context, seed int64, targetDur sim.Time, 
 }
 
 // ScalingCellFunc adapts the client to experiment.ScalingConfig.Cell so
-// hcappsim's chiplet-count scaling sweep executes cell-by-cell on the fleet.
+// hcappsim's chiplet-count scaling sweep executes cell-by-cell on the
+// fleet. Like SpecOf, it refuses a combo that is not a built-in.
 func (c *Client) ScalingCellFunc() func(ctx context.Context, cfg config.SystemConfig, sc experiment.ScalingConfig, triples int, period sim.Time, limit float64) (float64, float64, error) {
 	return func(ctx context.Context, cfg config.SystemConfig, sc experiment.ScalingConfig, triples int, period sim.Time, limit float64) (float64, float64, error) {
+		combo, err := builtinName(sc.Combo)
+		if err != nil {
+			return 0, 0, err
+		}
 		cell := ScalingCell{
-			Combo:          sc.Combo.Name,
+			Combo:          combo,
 			Network:        sc.Network,
 			Triples:        triples,
 			PeriodNS:       period,
@@ -233,7 +240,7 @@ func (c *Client) ScalingCellFunc() func(ctx context.Context, cfg config.SystemCo
 			LimitPerTriple: sc.LimitPerTriple,
 			Seed:           cfg.Seed,
 		}
-		resp, err := c.Run(ctx, Params{Seed: cfg.Seed}, []Item{{Scaling: &cell}})
+		resp, err := c.Run(ctx, RunRequest{Params: Params{Seed: cfg.Seed}, Items: []Item{{Scaling: &cell}}})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestClientRetriesTruncatedResponse(t *testing.T) {
 	})
 	var delays []time.Duration
 	c := testClient(t, ts.URL, &delays)
-	resp, err := c.Run(context.Background(), testParams(), make([]Item, 2))
+	resp, err := c.Run(context.Background(), RunRequest{Params: testParams(), Items: make([]Item, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestClientShortResponseRetried(t *testing.T) {
 	})
 	var delays []time.Duration
 	c := testClient(t, ts.URL, &delays)
-	resp, err := c.Run(context.Background(), testParams(), make([]Item, 3))
+	resp, err := c.Run(context.Background(), RunRequest{Params: testParams(), Items: make([]Item, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestClientHonoursRetryAfter(t *testing.T) {
 	})
 	var delays []time.Duration
 	c := testClient(t, ts.URL, &delays) // variate 0: own delay would be 0
-	if _, err := c.Run(context.Background(), testParams(), make([]Item, 1)); err != nil {
+	if _, err := c.Run(context.Background(), RunRequest{Params: testParams(), Items: make([]Item, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(delays) != 1 || delays[0] != 2*time.Second {
@@ -143,7 +144,7 @@ func TestClientThrottledErrorWraps(t *testing.T) {
 	var delays []time.Duration
 	c := testClient(t, ts.URL, &delays)
 	c.MaxAttempts = 3
-	_, err := c.Run(context.Background(), testParams(), make([]Item, 1))
+	_, err := c.Run(context.Background(), RunRequest{Params: testParams(), Items: make([]Item, 1)})
 	if !errors.Is(err, ErrThrottled) {
 		t.Fatalf("err = %v, want ErrThrottled", err)
 	}
@@ -161,7 +162,7 @@ func TestClientPermanent4xxNotRetried(t *testing.T) {
 	})
 	var delays []time.Duration
 	c := testClient(t, ts.URL, &delays)
-	if _, err := c.Run(context.Background(), testParams(), make([]Item, 1)); err == nil {
+	if _, err := c.Run(context.Background(), RunRequest{Params: testParams(), Items: make([]Item, 1)}); err == nil {
 		t.Fatal("bad request succeeded")
 	}
 	if got := attempts.Load(); got != 1 {
@@ -185,7 +186,7 @@ func TestClientRetries5xx(t *testing.T) {
 	})
 	var delays []time.Duration
 	c := testClient(t, ts.URL, &delays)
-	if _, err := c.Run(context.Background(), testParams(), make([]Item, 1)); err != nil {
+	if _, err := c.Run(context.Background(), RunRequest{Params: testParams(), Items: make([]Item, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := attempts.Load(); got != 3 {
@@ -196,16 +197,10 @@ func TestClientRetries5xx(t *testing.T) {
 	}
 }
 
-// TestRunRemoteRefusesRedefinedCombo: combos travel by name and a worker
-// resolves the name to the built-in, so a custom combo that reuses a
-// built-in's name must fail in SpecOf before any request is sent — not
-// come back as the built-in's result. A renamed-case built-in still
-// travels.
-func TestRunRemoteRefusesRedefinedCombo(t *testing.T) {
-	ts, attempts := runServer(t, func(_ int64, w http.ResponseWriter, _ *http.Request) {
-		w.Write(okBody(1))
-	})
-	c := testClient(t, ts.URL, nil)
+// redefinedHiHi returns a combo named "Hi-Hi" whose CPU benchmark is not
+// the built-in's.
+func redefinedHiHi(t *testing.T) (custom, builtin experiment.Combo) {
+	t.Helper()
 	builtin, err := experiment.ComboByName("Hi-Hi")
 	if err != nil {
 		t.Fatal(err)
@@ -218,13 +213,27 @@ func TestRunRemoteRefusesRedefinedCombo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	custom := builtin
+	custom = builtin
 	custom.CPU = cpu
+	return custom, builtin
+}
+
+// TestRunRemoteRefusesRedefinedCombo: combos travel by name and a worker
+// resolves the name to the built-in, so a custom combo that reuses a
+// built-in's name must fail in SpecOf before any request is sent — not
+// come back as the built-in's result. A renamed-case built-in still
+// travels.
+func TestRunRemoteRefusesRedefinedCombo(t *testing.T) {
+	ts, attempts := runServer(t, func(_ int64, w http.ResponseWriter, _ *http.Request) {
+		w.Write(okBody(1))
+	})
+	c := testClient(t, ts.URL, nil)
+	custom, builtin := redefinedHiHi(t)
 	spec := experiment.RunSpec{Combo: custom, Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}, Limit: config.PackagePinLimit()}
 	if _, err := SpecOf(spec); err == nil {
 		t.Fatal("SpecOf shipped a redefined Hi-Hi under the built-in's name")
 	}
-	if _, err := c.RunRemote(context.Background(), 42, sim.Millisecond, experiment.DefaultMaxDurFactor, experiment.DefaultFixedV, spec); err == nil {
+	if _, err := c.RunRemote(context.Background(), 42, sim.Millisecond, experiment.DefaultMaxDurFactor, experiment.DefaultFixedV, false, spec); err == nil {
 		t.Fatal("RunRemote returned a result for a redefined Hi-Hi")
 	}
 	if n := attempts.Load(); n != 0 {
@@ -234,5 +243,25 @@ func TestRunRemoteRefusesRedefinedCombo(t *testing.T) {
 	spec.Combo.Name = "hi-hi"
 	if wire, err := SpecOf(spec); err != nil || wire.Combo != "hi-hi" {
 		t.Fatalf("SpecOf(built-in Hi-Hi as %q) = %+v, %v", spec.Combo.Name, wire, err)
+	}
+}
+
+// TestScalingCellRefusesRedefinedCombo: a scaling cell addresses its
+// combo by name on the wire and in the fleet cache key, so a custom
+// combo that reuses a built-in's name must fail before any request is
+// sent, like SpecOf.
+func TestScalingCellRefusesRedefinedCombo(t *testing.T) {
+	ts, attempts := runServer(t, func(_ int64, w http.ResponseWriter, _ *http.Request) {
+		w.Write(okBody(1))
+	})
+	c := testClient(t, ts.URL, nil)
+	sc := experiment.DefaultScalingConfig()
+	sc.Combo, _ = redefinedHiHi(t)
+	_, _, err := c.ScalingCellFunc()(context.Background(), config.Default(), sc, 1, sim.Microsecond, sc.LimitPerTriple)
+	if err == nil || !strings.Contains(err.Error(), "differs from the built-in") {
+		t.Fatalf("scaling cell with a redefined Hi-Hi: err = %v, want a refusal", err)
+	}
+	if n := attempts.Load(); n != 0 {
+		t.Fatalf("scaling cell sent %d requests for a combo the fleet cannot run", n)
 	}
 }

@@ -356,8 +356,10 @@ func (it *itemTrace) finish(outcome string) {
 // fleet cache and in-flight table, shard the remainder across live
 // workers, and assemble results into index-aligned slots so the
 // response is byte-identical to a single-node run regardless of fleet
-// width, worker deaths, or scheduling. Rate limiting is the caller's
-// concern (RunBatch applies it; hcapp-serve debits at job admission).
+// width, worker deaths, or scheduling. Results carry their energy
+// summary only when req.Energy asks for it. Rate limiting is the
+// caller's concern (RunBatch applies it; hcapp-serve debits at job
+// admission).
 func (c *Coordinator) Execute(ctx context.Context, req RunRequest) (*RunResponse, error) {
 	if !ValidPriority(req.Priority) {
 		return nil, fmt.Errorf("%w: unknown priority %q", ErrBadItem, req.Priority)
@@ -472,6 +474,11 @@ func (c *Coordinator) Execute(ctx context.Context, req RunRequest) (*RunResponse
 		}
 		if firstErr != nil {
 			return nil, firstErr.err
+		}
+	}
+	if !req.Energy {
+		for i, ir := range resp.Results {
+			resp.Results[i] = ir.withoutEnergy()
 		}
 	}
 	return resp, nil

@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +28,7 @@ func testParams() Params {
 }
 
 // testItems builds n spec items over distinct suite combos.
-func testItems(t *testing.T, n int) []Item {
+func testItems(t testing.TB, n int) []Item {
 	t.Helper()
 	scheme, err := config.SchemeByKind(config.HCAPP)
 	if err != nil {
@@ -42,14 +46,13 @@ func testItems(t *testing.T, n int) []Item {
 	return items
 }
 
-// localResults simulates the items on a plain local evaluator — the
-// reference the fleet must match exactly. Workers always track the
-// energy ledger, so the reference does too: the comparisons cover the
-// wire-carried energy summary as well.
-func localResults(t *testing.T, p Params, items []Item) []Result {
+// localResults simulates the items on a plain local evaluator that
+// tracks energy exactly when the fleet request asks for it — the
+// reference the fleet must match exactly, energy summary included.
+func localResults(t *testing.T, p Params, items []Item, energy bool) []Result {
 	t.Helper()
 	ev := p.evaluator()
-	ev.TrackEnergy = true
+	ev.TrackEnergy = energy
 	out := make([]Result, len(items))
 	for i, it := range items {
 		spec, err := it.Spec.RunSpec()
@@ -67,7 +70,7 @@ func localResults(t *testing.T, p Params, items []Item) []Result {
 
 // startWorker boots a real worker behind an httptest listener and
 // returns it with its advertise address filled in.
-func startWorker(t *testing.T, id string) *Worker {
+func startWorker(t testing.TB, id string) *Worker {
 	t.Helper()
 	w := NewWorker(WorkerConfig{ID: id, Workers: 2, Logf: t.Logf})
 	ts := httptest.NewServer(w.Handler())
@@ -76,7 +79,7 @@ func startWorker(t *testing.T, id string) *Worker {
 	return w
 }
 
-func registerWorker(t *testing.T, c *Coordinator, w *Worker) {
+func registerWorker(t testing.TB, c *Coordinator, w *Worker) {
 	t.Helper()
 	if _, err := c.Register(RegisterRequest{ID: w.cfg.ID, Addr: w.cfg.AdvertiseAddr, Workers: w.cfg.Workers}); err != nil {
 		t.Fatal(err)
@@ -158,7 +161,7 @@ func TestExecuteMatchesLocal(t *testing.T) {
 
 	p := testParams()
 	items := testItems(t, 4)
-	resp, err := c.Execute(context.Background(), RunRequest{Priority: PriorityBatch, Params: p, Items: items})
+	resp, err := c.Execute(context.Background(), RunRequest{Priority: PriorityBatch, Params: p, Items: items, Energy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestExecuteMatchesLocal(t *testing.T) {
 		t.Fatalf("first batch reported %d cache hits, want 0", resp.CacheHits)
 	}
 
-	want := localResults(t, p, items)
+	want := localResults(t, p, items, true)
 	for i := range items {
 		if resp.Results[i].Error != "" {
 			t.Fatalf("item %d failed: %s", i, resp.Results[i].Error)
@@ -188,7 +191,7 @@ func TestExecuteMatchesLocal(t *testing.T) {
 	if c.WorkersLive() != 0 {
 		t.Fatal("markDead left workers live")
 	}
-	resp2, err := c.Execute(context.Background(), RunRequest{Priority: PriorityBatch, Params: p, Items: items})
+	resp2, err := c.Execute(context.Background(), RunRequest{Priority: PriorityBatch, Params: p, Items: items, Energy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestWorkerDeathReshards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := localResults(t, p, items)
+	want := localResults(t, p, items, false)
 	for i := range items {
 		if resp.Results[i].Error != "" {
 			t.Fatalf("item %d failed after re-shard: %s", i, resp.Results[i].Error)
@@ -282,7 +285,7 @@ func TestDispatchWaitsOutWorkerDrought(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch during a rescued drought: %v", err)
 	}
-	want := localResults(t, testParams(), items)
+	want := localResults(t, testParams(), items, false)
 	for i, r := range resp.Results {
 		if r.Error != "" {
 			t.Fatalf("item %d: %s", i, r.Error)
@@ -396,11 +399,11 @@ func TestHTTPProtocolEndToEnd(t *testing.T) {
 	}
 	p := testParams()
 	items := testItems(t, 3)
-	resp, err := cl.Run(context.Background(), p, items)
+	resp, err := cl.Run(context.Background(), RunRequest{Params: p, Items: items, Energy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := localResults(t, p, items)
+	want := localResults(t, p, items, true)
 	for i := range items {
 		if !reflect.DeepEqual(*resp.Results[i].Result, want[i]) {
 			t.Fatalf("item %d diverged over the wire:\n fleet: %+v\n local: %+v",
@@ -411,7 +414,8 @@ func TestHTTPProtocolEndToEnd(t *testing.T) {
 
 // TestRemoteRunnerAndScalingCell: the Evaluator Remote hook and the
 // sweep Cell hook both route through the fleet and reproduce local
-// results exactly.
+// results exactly — the energy summary included, which the fleet
+// returns exactly when the asking evaluator tracks energy.
 func TestRemoteRunnerAndScalingCell(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
 	coordTS := httptest.NewServer(c.Handler())
@@ -423,32 +427,40 @@ func TestRemoteRunnerAndScalingCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Remote evaluator run.
+	// Remote evaluator runs, energy off then on. The second is a fleet
+	// cache hit on the entry the first one filled.
 	p := testParams()
 	item := testItems(t, 1)[0]
 	spec, err := item.Spec.RunSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := p.evaluator()
-	remote.Remote = cl
-	got, err := remote.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := p.evaluator()
-	local.TrackEnergy = true // workers always track; match the reference
-	want, err := local.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare the wire projections: RunSpec.Combo carries benchmark
-	// builder funcs, which DeepEqual refuses regardless of identity.
-	if !reflect.DeepEqual(ResultOf(got), ResultOf(want)) {
-		t.Fatalf("remote evaluator run diverged:\n fleet: %+v\n local: %+v", got, want)
-	}
-	if got.Spec.Combo.Name != spec.Combo.Name {
-		t.Fatalf("remote result lost its spec: %q", got.Spec.Combo.Name)
+	for _, energy := range []bool{false, true} {
+		remote := p.evaluator()
+		remote.Remote = cl
+		remote.TrackEnergy = energy
+		got, err := remote.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := p.evaluator()
+		local.TrackEnergy = energy
+		want, err := local.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Spec.Combo.Name != spec.Combo.Name {
+			t.Fatalf("remote result lost its spec: %q", got.Spec.Combo.Name)
+		}
+		if (got.Energy != nil) != energy || (want.Energy != nil) != energy {
+			t.Fatalf("TrackEnergy=%v: remote energy %v, local energy %v", energy, got.Energy != nil, want.Energy != nil)
+		}
+		// RunSpec.Combo carries benchmark builder funcs, which DeepEqual
+		// refuses regardless of identity; every other field must match.
+		got.Spec, want.Spec = experiment.RunSpec{}, experiment.RunSpec{}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TrackEnergy=%v: remote evaluator run diverged:\n fleet: %+v\n local: %+v", energy, got, want)
+		}
 	}
 
 	// Scaling sweep cell.
@@ -470,5 +482,101 @@ func TestRemoteRunnerAndScalingCell(t *testing.T) {
 	}
 	if fleetMax != localMax || fleetPPE != localPPE {
 		t.Fatalf("scaling cell diverged: fleet (%v, %v) local (%v, %v)", fleetMax, fleetPPE, localMax, localPPE)
+	}
+}
+
+// countingWorker boots a real worker whose handler counts the slices it
+// is sent.
+func countingWorker(t *testing.T, c *Coordinator, id string) *atomic.Int64 {
+	t.Helper()
+	w := NewWorker(WorkerConfig{ID: id, Workers: 2, Logf: t.Logf})
+	var slices atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		slices.Add(1)
+		w.Handler().ServeHTTP(rw, r)
+	}))
+	t.Cleanup(ts.Close)
+	w.cfg.AdvertiseAddr = ts.URL
+	registerWorker(t, c, w)
+	return &slices
+}
+
+// TestEnergyIsAProjectionOfTheCachedResult: a lean request leaves the
+// fleet-cache entry whole, so a later energy request for the same item
+// is a cache hit that sends no slice and still returns the ledger.
+func TestEnergyIsAProjectionOfTheCachedResult(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+	slices := countingWorker(t, c, "w-a")
+	p := testParams()
+	items := testItems(t, 1)
+
+	lean, err := c.Execute(context.Background(), RunRequest{Params: p, Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localResults(t, p, items, false); !reflect.DeepEqual(*lean.Results[0].Result, want[0]) {
+		t.Fatalf("lean result differs from a local run without energy:\n fleet: %+v\n local: %+v", *lean.Results[0].Result, want[0])
+	}
+	if n := slices.Load(); n != 1 {
+		t.Fatalf("lean request sent %d slices, want 1", n)
+	}
+
+	full, err := c.Execute(context.Background(), RunRequest{Params: p, Items: items, Energy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.CacheHits != 1 {
+		t.Fatalf("energy request after a lean one hit the cache %d times, want 1", full.CacheHits)
+	}
+	if n := slices.Load(); n != 1 {
+		t.Fatalf("energy request re-ran the item: %d slices sent, want 1", n)
+	}
+	if want := localResults(t, p, items, true); !reflect.DeepEqual(*full.Results[0].Result, want[0]) {
+		t.Fatalf("energy result differs from a local run with energy:\n fleet: %+v\n local: %+v", *full.Results[0].Result, want[0])
+	}
+}
+
+// TestLeanWireItem: a /v1/cluster/run reply for a request that does not
+// ask for energy carries no energy key, and one item of it stays small.
+func TestLeanWireItem(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+	registerWorker(t, c, startWorker(t, "w-a"))
+	coordTS := httptest.NewServer(c.Handler())
+	t.Cleanup(coordTS.Close)
+
+	body, err := json.Marshal(RunRequest{Params: testParams(), Items: testItems(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.Post(coordTS.URL+"/v1/cluster/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	raw, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", hr.StatusCode, raw)
+	}
+	var resp struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 {
+		t.Fatalf("%d results for one item", len(resp.Results))
+	}
+	item := resp.Results[0]
+	if bytes.Contains(item, []byte(`"energy"`)) {
+		t.Fatalf("lean item carries an energy key: %s", item)
+	}
+	if !bytes.Contains(item, []byte(`"avg_power"`)) {
+		t.Fatalf("lean item lost its metrics: %s", item)
+	}
+	if len(item) > 512 {
+		t.Fatalf("lean item is %d bytes, want at most 512: %s", len(item), item)
 	}
 }

@@ -90,19 +90,30 @@ type Spec struct {
 	Policy           string             `json:"policy,omitempty"`
 }
 
-// SpecOf projects a RunSpec onto the wire. The combo travels by name
-// and a worker resolves it to the built-in of that name, so a combo
-// defined otherwise is refused here rather than run as the built-in.
-func SpecOf(s experiment.RunSpec) (Spec, error) {
-	builtin, err := experiment.ComboByName(s.Combo.Name)
+// builtinName returns the name a combo travels under. A worker resolves
+// the name to the built-in combo of that name, and Item.key addresses
+// the item by it, so a combo defined otherwise is refused here rather
+// than run as (and cached as) the built-in.
+func builtinName(c experiment.Combo) (string, error) {
+	builtin, err := experiment.ComboByName(c.Name)
 	if err != nil {
-		return Spec{}, fmt.Errorf("cluster: %w", err)
+		return "", fmt.Errorf("cluster: %w", err)
 	}
-	if builtin.CPU.Key() != s.Combo.CPU.Key() || builtin.GPU.Key() != s.Combo.GPU.Key() {
-		return Spec{}, fmt.Errorf("cluster: combo %q differs from the built-in of that name; only built-in combos run on the fleet", s.Combo.Name)
+	if builtin.CPU.Key() != c.CPU.Key() || builtin.GPU.Key() != c.GPU.Key() {
+		return "", fmt.Errorf("cluster: combo %q differs from the built-in of that name; only built-in combos run on the fleet", c.Name)
+	}
+	return c.Name, nil
+}
+
+// SpecOf projects a RunSpec onto the wire; only built-in combos travel
+// (builtinName).
+func SpecOf(s experiment.RunSpec) (Spec, error) {
+	combo, err := builtinName(s.Combo)
+	if err != nil {
+		return Spec{}, err
 	}
 	return Spec{
-		Combo:            s.Combo.Name,
+		Combo:            combo,
 		Scheme:           s.Scheme,
 		Limit:            s.Limit,
 		Priorities:       s.Priorities,
@@ -180,8 +191,21 @@ type Result struct {
 	// Energy is the worker's attribution ledger summary. Workers always
 	// track energy (the ledger is passive, so the metrics above are
 	// unaffected), which keeps every fleet-cached result usable for
-	// chargeback no matter which client asked first.
+	// chargeback no matter which client asked first. The coordinator
+	// returns it only to a RunRequest that sets Energy.
 	Energy *energy.Summary `json:"energy,omitempty"`
+}
+
+// withoutEnergy returns ir with its result's energy summary dropped. It
+// copies the Result rather than clearing the shared one, which the
+// fleet cache and other batches' flights still hold.
+func (ir ItemResult) withoutEnergy() ItemResult {
+	if ir.Result != nil && ir.Result.Energy != nil {
+		r := *ir.Result
+		r.Energy = nil
+		ir.Result = &r
+	}
+	return ir
 }
 
 // ResultOf projects a RunResult onto the wire.
@@ -283,6 +307,12 @@ type RunRequest struct {
 	Priority string `json:"priority,omitempty"`
 	Params   Params `json:"params"`
 	Items    []Item `json:"items"`
+	// Energy asks for each result's energy summary. It projects the
+	// reply and is not part of any item's identity: workers always
+	// compute the ledger and the fleet cache always keeps it, so a lean
+	// request and an energy request for the same item share one entry.
+	// A worker ignores it and always returns the ledger.
+	Energy bool `json:"energy,omitempty"`
 }
 
 // RunResponse is the coordinator's (and worker's) batch reply; Results

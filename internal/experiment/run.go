@@ -91,7 +91,7 @@ type RunResult struct {
 	// ControlCycles counts global control actions.
 	ControlCycles int64
 	// Energy is the run's attribution ledger summary; non-nil only when
-	// the evaluator ran with TrackEnergy (or a remote worker did).
+	// the evaluator ran with TrackEnergy, locally or on a fleet.
 	Energy *energy.Summary
 }
 
@@ -169,10 +169,11 @@ const (
 // RemoteRunner executes one uncached spec somewhere else — a
 // coordinator/worker fleet — under the evaluator parameters that would
 // otherwise drive the local simulation. Implementations must be
-// deterministic: the same (seed, targetDur, maxDurFactor, fixedV, spec)
-// returns the same RunResult a local simulation would.
+// deterministic: the same (seed, targetDur, maxDurFactor, fixedV,
+// trackEnergy, spec) returns the same RunResult a local simulation
+// would, Energy included (non-nil exactly when trackEnergy is set).
 type RemoteRunner interface {
-	RunRemote(ctx context.Context, seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, spec RunSpec) (RunResult, error)
+	RunRemote(ctx context.Context, seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, trackEnergy bool, spec RunSpec) (RunResult, error)
 }
 
 // Evaluator runs and caches simulations for one system configuration.
@@ -201,9 +202,9 @@ type Evaluator struct {
 	// TrackEnergy attaches an energy ledger to every system BuildSized
 	// assembles and copies its summary into RunResult.Energy. Folded
 	// into the cache key, so toggling it never serves a result missing
-	// (or needlessly carrying) energy accounting. Fleet workers always
-	// track energy — the ledger is passive, so the simulated metrics are
-	// identical either way.
+	// (or needlessly carrying) energy accounting. A Remote run asks the
+	// fleet for the summary exactly when this is set. The ledger is
+	// passive, so the simulated metrics are identical either way.
 	TrackEnergy bool
 
 	// runner, when non-nil, fans RunSpecs batches across a worker pool.
@@ -361,7 +362,7 @@ func (ev *Evaluator) RunContext(ctx context.Context, spec RunSpec) (RunResult, e
 // runUncached builds and simulates one spec with no cache involvement.
 func (ev *Evaluator) runUncached(ctx context.Context, spec RunSpec, key string) (RunResult, error) {
 	if ev.Remote != nil {
-		res, err := ev.Remote.RunRemote(ctx, ev.Cfg.Seed, ev.TargetDur, ev.MaxDurFactor, ev.FixedV, spec)
+		res, err := ev.Remote.RunRemote(ctx, ev.Cfg.Seed, ev.TargetDur, ev.MaxDurFactor, ev.FixedV, ev.TrackEnergy, spec)
 		if err != nil {
 			return RunResult{}, err
 		}

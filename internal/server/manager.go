@@ -422,6 +422,8 @@ func (mgr *Manager) delegate(ctx context.Context, j *Job) (experiment.RunResult,
 		Priority: cluster.PriorityInteractive,
 		Params:   params,
 		Items:    []cluster.Item{{Spec: &wire}},
+		// Chargeback bills every job's energy, as in standalone role.
+		Energy: true,
 	})
 	if err != nil {
 		return experiment.RunResult{}, err

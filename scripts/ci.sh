@@ -157,6 +157,27 @@ wait $client_b
 "$tmp/hcappsim" -experiment fig10 -dur 1 -workers 1 >"$tmp/solo-b.out"
 diff -u "$tmp/solo-a.out" "$tmp/fleet-a.out"
 diff -u "$tmp/solo-b.out" "$tmp/fleet-b.out"
+# A fleet reply carries the energy ledger only when the request asks for
+# it; the simulated metrics are the same either way.
+run_body='{"params":{"seed":42,"target_dur_ns":1000000,"max_dur_factor":3,"fixed_v":0.95},"items":[{"spec":{"combo":"Hi-Hi","scheme":{"Kind":"hcapp","ControlPeriod":1000},"limit":{"Name":"package-pin","Watts":100,"Window":20000}}}]'
+lean="$(curl -fsS -X POST http://127.0.0.1:18080/v1/cluster/run -d "$run_body}")"
+full="$(curl -fsS -X POST http://127.0.0.1:18080/v1/cluster/run -d "$run_body,\"energy\":true}")"
+case "$lean" in *'"energy"'*)
+	echo "lean /v1/cluster/run reply carries energy: $lean"
+	exit 1
+	;;
+esac
+case "$full" in *'"energy"'*) ;; *)
+	echo "/v1/cluster/run reply with energy:true has no energy: $full"
+	exit 1
+	;;
+esac
+avg_power() { printf '%s' "$1" | sed -n 's/.*"avg_power":\([^,}]*\).*/\1/p'; }
+if [ -z "$(avg_power "$lean")" ] || [ "$(avg_power "$lean")" != "$(avg_power "$full")" ]; then
+	echo "lean and energy replies disagree on avg_power: $lean vs $full"
+	exit 1
+fi
+echo "fleet replies carry energy only when asked, with the same avg_power"
 kill $coord_pid $w1_pid $w2_pid 2>/dev/null
 wait $coord_pid $w1_pid $w2_pid 2>/dev/null || true
 trap 'rm -rf "$tmp"' EXIT
