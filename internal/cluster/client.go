@@ -192,20 +192,19 @@ func (c *Client) runOnce(ctx context.Context, body []byte, n int) (_ *RunRespons
 // becomes a one-item fleet batch, whose reply carries the energy
 // summary only when trackEnergy asks for it.
 func (c *Client) RunRemote(ctx context.Context, seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, trackEnergy bool, spec experiment.RunSpec) (experiment.RunResult, error) {
+	return runOne(ctx, c.Run, Params{seed, targetDur, maxDurFactor, fixedV}, trackEnergy, spec)
+}
+
+// runOne is the one-spec fleet call of both RemoteRunners: it sends
+// spec to exec (Client.Run, which sets its own priority, or
+// Coordinator.Execute) as a one-item interactive request, asking for
+// the energy summary when energy is set, and decodes the result.
+func runOne(ctx context.Context, exec func(context.Context, RunRequest) (*RunResponse, error), params Params, energy bool, spec experiment.RunSpec) (experiment.RunResult, error) {
 	wire, err := SpecOf(spec)
 	if err != nil {
 		return experiment.RunResult{}, err
 	}
-	resp, err := c.Run(ctx, RunRequest{
-		Params: Params{
-			Seed:         seed,
-			TargetDurNS:  targetDur,
-			MaxDurFactor: maxDurFactor,
-			FixedV:       fixedV,
-		},
-		Items:  []Item{{Spec: &wire}},
-		Energy: trackEnergy,
-	})
+	resp, err := exec(ctx, RunRequest{Priority: PriorityInteractive, Params: params, Items: []Item{{Spec: &wire}}, Energy: energy})
 	if err != nil {
 		return experiment.RunResult{}, err
 	}

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"time"
 
+	"hcapp/internal/experiment"
+	"hcapp/internal/sim"
 	"hcapp/internal/tracing"
 )
 
@@ -27,6 +29,9 @@ var (
 	ErrBadItem = errors.New("cluster: invalid item")
 )
 
+// maxCacheEntries bounds the fleet result cache, oldest out first.
+const maxCacheEntries = 4096
+
 // CoordinatorConfig sizes the fleet head.
 type CoordinatorConfig struct {
 	// HeartbeatEvery is the cadence advertised to workers (default 2 s).
@@ -39,9 +44,6 @@ type CoordinatorConfig struct {
 	TenantRate float64
 	// TenantBurst is the bucket size (default 256 items).
 	TenantBurst int
-	// MaxCacheEntries bounds the fleet result cache (default 4096,
-	// oldest-first eviction).
-	MaxCacheEntries int
 	// BreakerThreshold is how many consecutive transport failures trip
 	// a worker's circuit breaker (default 3).
 	BreakerThreshold int
@@ -78,9 +80,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = 256
-	}
-	if c.MaxCacheEntries <= 0 {
-		c.MaxCacheEntries = 4096
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -294,6 +293,13 @@ func (c *Coordinator) RunBatch(ctx context.Context, req RunRequest) (*RunRespons
 		return nil, ErrThrottled
 	}
 	return c.Execute(ctx, req)
+}
+
+// RunRemote implements experiment.RemoteRunner in process, as a
+// one-item interactive batch. It debits no token: a coordinator-role
+// job server debits its tenant at admission.
+func (c *Coordinator) RunRemote(ctx context.Context, seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, trackEnergy bool, spec experiment.RunSpec) (experiment.RunResult, error) {
+	return runOne(ctx, c.Execute, Params{seed, targetDur, maxDurFactor, fixedV}, trackEnergy, spec)
 }
 
 // leaderItem is one item this batch must actually get simulated (cache
@@ -844,7 +850,7 @@ func (c *Coordinator) resolve(li leaderItem, res ItemResult, err error) {
 		if _, ok := c.cache[li.key]; !ok {
 			c.cache[li.key] = res
 			c.cacheOrder = append(c.cacheOrder, li.key)
-			for len(c.cacheOrder) > c.cfg.MaxCacheEntries {
+			for len(c.cacheOrder) > maxCacheEntries {
 				delete(c.cache, c.cacheOrder[0])
 				c.cacheOrder = c.cacheOrder[1:]
 			}
@@ -941,8 +947,8 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid run request: %v", err)
 		return
 	}
-	// A caller that already opened a trace (hcapp-serve's job manager, a
-	// remote client) propagates it via the traceparent header; otherwise
+	// A caller that already opened a trace propagates it via the
+	// traceparent header; otherwise
 	// the batch gets its own root span so direct API batches are traced
 	// too.
 	ctx := r.Context()

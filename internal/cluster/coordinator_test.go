@@ -51,7 +51,7 @@ func testItems(t testing.TB, n int) []Item {
 // reference the fleet must match exactly, energy summary included.
 func localResults(t *testing.T, p Params, items []Item, energy bool) []Result {
 	t.Helper()
-	ev := p.evaluator()
+	ev := p.Evaluator()
 	ev.TrackEnergy = energy
 	out := make([]Result, len(items))
 	for i, it := range items {
@@ -427,41 +427,7 @@ func TestRemoteRunnerAndScalingCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Remote evaluator runs, energy off then on. The second is a fleet
-	// cache hit on the entry the first one filled.
-	p := testParams()
-	item := testItems(t, 1)[0]
-	spec, err := item.Spec.RunSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, energy := range []bool{false, true} {
-		remote := p.evaluator()
-		remote.Remote = cl
-		remote.TrackEnergy = energy
-		got, err := remote.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local := p.evaluator()
-		local.TrackEnergy = energy
-		want, err := local.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Spec.Combo.Name != spec.Combo.Name {
-			t.Fatalf("remote result lost its spec: %q", got.Spec.Combo.Name)
-		}
-		if (got.Energy != nil) != energy || (want.Energy != nil) != energy {
-			t.Fatalf("TrackEnergy=%v: remote energy %v, local energy %v", energy, got.Energy != nil, want.Energy != nil)
-		}
-		// RunSpec.Combo carries benchmark builder funcs, which DeepEqual
-		// refuses regardless of identity; every other field must match.
-		got.Spec, want.Spec = experiment.RunSpec{}, experiment.RunSpec{}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("TrackEnergy=%v: remote evaluator run diverged:\n fleet: %+v\n local: %+v", energy, got, want)
-		}
-	}
+	checkRemoteRunner(t, cl)
 
 	// Scaling sweep cell.
 	sc := experiment.DefaultScalingConfig()
@@ -482,6 +448,88 @@ func TestRemoteRunnerAndScalingCell(t *testing.T) {
 	}
 	if fleetMax != localMax || fleetPPE != localPPE {
 		t.Fatalf("scaling cell diverged: fleet (%v, %v) local (%v, %v)", fleetMax, fleetPPE, localMax, localPPE)
+	}
+}
+
+// checkRemoteRunner requires an evaluator whose Remote is r to return
+// the RunResult a local evaluator computes, energy off then on. The
+// second run is a fleet-cache hit on the entry the first one filled.
+func checkRemoteRunner(t *testing.T, r experiment.RemoteRunner) {
+	t.Helper()
+	p := testParams()
+	item := testItems(t, 1)[0]
+	spec, err := item.Spec.RunSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, energy := range []bool{false, true} {
+		remote := p.Evaluator()
+		remote.Remote = r
+		remote.TrackEnergy = energy
+		got, err := remote.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := p.Evaluator()
+		local.TrackEnergy = energy
+		want, err := local.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Spec.Combo.Name != spec.Combo.Name {
+			t.Fatalf("remote result lost its spec: %q", got.Spec.Combo.Name)
+		}
+		if (got.Energy != nil) != energy || (want.Energy != nil) != energy {
+			t.Fatalf("TrackEnergy=%v: remote energy %v, local energy %v", energy, got.Energy != nil, want.Energy != nil)
+		}
+		// RunSpec.Combo carries benchmark builder funcs, which DeepEqual
+		// refuses regardless of identity; every other field must match.
+		got.Spec, want.Spec = experiment.RunSpec{}, experiment.RunSpec{}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("TrackEnergy=%v: remote evaluator run diverged:\n fleet: %+v\n local: %+v", energy, got, want)
+		}
+	}
+}
+
+// TestCoordinatorIsARemoteRunner: an in-process coordinator serves as
+// an evaluator's Remote, as a coordinator-role job server uses it, and
+// returns exactly the local RunResult.
+func TestCoordinatorIsARemoteRunner(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+	registerWorker(t, c, startWorker(t, "w-a"))
+	checkRemoteRunner(t, c)
+}
+
+// TestFleetCacheEvictsOldestFirst: the fleet cache keeps the
+// maxCacheEntries most recently resolved results, so one more evicts
+// the oldest, and re-resolving a cached key does not refresh it.
+func TestFleetCacheEvictsOldestFirst(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+	resolve := func(key string) {
+		f := &flight{done: make(chan struct{})}
+		c.mu.Lock()
+		c.inflight[key] = f
+		c.mu.Unlock()
+		c.resolve(leaderItem{key: key, f: f}, ItemResult{}, nil)
+	}
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	for i := 0; i < maxCacheEntries; i++ {
+		resolve(key(i))
+	}
+	resolve(key(0)) // already cached: keeps its place at the front
+	resolve(key(maxCacheEntries))
+	if n := c.CacheLen(); n != maxCacheEntries {
+		t.Fatalf("cache holds %d entries, want %d", n, maxCacheEntries)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, want := range map[int]bool{0: false, 1: true, maxCacheEntries: true} {
+		if _, ok := c.cache[key(i)]; ok != want {
+			t.Fatalf("cache has %s: %v, want %v", key(i), ok, want)
+		}
+	}
+	if len(c.cacheOrder) != maxCacheEntries || len(c.inflight) != 0 {
+		t.Fatalf("cache order %d entries, %d flights left", len(c.cacheOrder), len(c.inflight))
 	}
 }
 

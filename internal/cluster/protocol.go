@@ -56,8 +56,8 @@ type Params struct {
 	FixedV       float64  `json:"fixed_v"`
 }
 
-// DefaultParams returns the parameters a standalone hcapp-serve job
-// evaluator would use for the given seed and horizon.
+// DefaultParams returns the parameters an hcapp-serve job runs under
+// for the given seed and horizon, in either role.
 func DefaultParams(seed int64, targetDur sim.Time) Params {
 	return Params{
 		Seed:         seed,
@@ -67,10 +67,10 @@ func DefaultParams(seed int64, targetDur sim.Time) Params {
 	}
 }
 
-// evaluator builds a fresh local evaluator configured with the params —
-// the worker-side execution context, and the key generator both sides
-// share.
-func (p Params) evaluator() *experiment.Evaluator {
+// Evaluator builds a fresh local evaluator configured with the params:
+// a served job's evaluator, a fleet worker's execution context, and the
+// key generator the coordinator and workers share.
+func (p Params) Evaluator() *experiment.Evaluator {
 	ev := experiment.NewEvaluator().WithTargetDur(p.TargetDurNS)
 	ev.Cfg.Seed = p.Seed
 	ev.MaxDurFactor = p.MaxDurFactor
@@ -260,7 +260,7 @@ func (it Item) key(p Params) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return hashKey("spec|" + p.evaluator().CacheKey(rs)), nil
+		return hashKey("spec|" + p.Evaluator().CacheKey(rs)), nil
 	case it.Scaling != nil && it.Spec == nil:
 		c := *it.Scaling
 		return hashKey(fmt.Sprintf("scaling|combo=%s|net=%+v|n=%d|period=%d|limit=%g|win=%d|dur=%d|floor=%d|lpt=%g|seed=%d",
@@ -298,8 +298,8 @@ type HeartbeatRequest struct {
 	ID string `json:"id"`
 }
 
-// RunRequest is the POST /v1/cluster/run body (and the in-process shape
-// hcapp-serve's job manager submits in coordinator role).
+// RunRequest is the POST /v1/cluster/run body, and what Execute takes
+// in process.
 type RunRequest struct {
 	// Tenant buckets the request for rate limiting; empty means "anon".
 	Tenant string `json:"tenant,omitempty"`

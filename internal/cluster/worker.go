@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,6 +15,7 @@ import (
 
 	"hcapp/internal/config"
 	"hcapp/internal/experiment"
+	"hcapp/internal/sim"
 	"hcapp/internal/tracing"
 )
 
@@ -233,14 +233,13 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 
 // RunSlice executes the items on the local pool and returns
 // index-aligned results. A panicking simulation fails only its own item
-// (containment mirrors the standalone job manager): the stack is logged
-// once with the item index so fleet debugging has something to go on.
+// (experiment.RunContained), its stack logged once with the item index.
 func (w *Worker) RunSlice(ctx context.Context, params Params, items []Item) (*RunResponse, error) {
 	resp := &RunResponse{Results: make([]ItemResult, len(items))}
 	// The evaluator stays runner-less: items fan out through the pool
 	// right here, and nesting RunSpecs batches inside pool tasks would
 	// deadlock the shared runner.
-	ev := params.evaluator()
+	ev := params.Evaluator()
 	// Workers always carry the energy ledger: it is passive (identical
 	// simulated metrics), and it makes every fleet result — and every
 	// fleet-cache hit — usable for coordinator-side chargeback no matter
@@ -248,7 +247,7 @@ func (w *Worker) RunSlice(ctx context.Context, params Params, items []Item) (*Ru
 	ev.TrackEnergy = true
 	var spanMu sync.Mutex
 	err := w.runner.Tasks(ctx, len(items), func(ctx context.Context, i int) error {
-		res, span := w.runItem(ctx, ev, params, items[i], i)
+		res, span := w.runItem(ctx, ev, items[i], i)
 		resp.Results[i] = res
 		if span.SpanID != "" {
 			spanMu.Lock()
@@ -266,52 +265,47 @@ func (w *Worker) RunSlice(ctx context.Context, params Params, items []Item) (*Ru
 	return resp, nil
 }
 
-func (w *Worker) runItem(ctx context.Context, ev *experiment.Evaluator, params Params, it Item, idx int) (out ItemResult, engSpan tracing.Span) {
-	var eng *tracing.ActiveSpan
-	if w.cfg.Tracer != nil && it.Trace != nil && it.Trace.Valid() {
-		eng = w.cfg.Tracer.StartSpan(*it.Trace, "engine")
+func (w *Worker) runItem(ctx context.Context, ev *experiment.Evaluator, it Item, idx int) (ItemResult, tracing.Span) {
+	var out ItemResult
+	open := func() *tracing.ActiveSpan {
+		if w.cfg.Tracer == nil || it.Trace == nil || !it.Trace.Valid() {
+			return nil
+		}
+		return w.cfg.Tracer.StartSpan(*it.Trace, "engine")
 	}
-	var run *experiment.RunResult
-	defer func() {
-		if r := recover(); r != nil {
-			w.cfg.Logf("cluster: worker %s: item %d panicked: %v\n%s", w.cfg.ID, idx, r, debug.Stack())
-			out = ItemResult{Error: fmt.Sprintf("panic: %v", r)}
-			run = nil
+	who := fmt.Sprintf("cluster: worker %s: item %d", w.cfg.ID, idx)
+	span, err := experiment.RunContained(w.cfg.Logf, who, w.cfg.ID, open, func() (*experiment.RunResult, sim.Time, error) {
+		if (it.Spec == nil) == (it.Scaling == nil) {
+			return nil, 0, errors.New("item must set exactly one of spec, scaling")
 		}
-		var err error
-		if out.Error != "" {
-			err = errors.New(out.Error)
+		if it.Scaling != nil {
+			var err error
+			out.Scaling, err = runScalingItem(ctx, *it.Scaling)
+			return nil, 0, err
 		}
-		engSpan = experiment.EndEngineSpan(eng, w.cfg.ID, ev.Cfg.TimeStep, run, err)
-	}()
-	switch {
-	case it.Spec != nil && it.Scaling == nil:
 		spec, err := it.Spec.RunSpec()
 		if err != nil {
-			out = ItemResult{Error: err.Error()}
-			return
+			return nil, 0, err
 		}
 		res, err := ev.RunContext(ctx, spec)
 		if err != nil {
-			out = ItemResult{Error: err.Error()}
-			return
+			return nil, 0, err
 		}
-		run = &res
 		r := ResultOf(res)
-		out = ItemResult{Result: &r}
-	case it.Scaling != nil && it.Spec == nil:
-		out = runScalingItem(ctx, *it.Scaling)
-	default:
-		out = ItemResult{Error: "item must set exactly one of spec, scaling"}
+		out.Result = &r
+		return &res, ev.Cfg.TimeStep, nil
+	})
+	if err != nil {
+		out = ItemResult{Error: err.Error()}
 	}
-	return
+	return out, span
 }
 
 // runScalingItem rebuilds the sweep-cell inputs and simulates it.
-func runScalingItem(ctx context.Context, cell ScalingCell) ItemResult {
+func runScalingItem(ctx context.Context, cell ScalingCell) (*ScalingCellResult, error) {
 	combo, err := experiment.ComboByName(cell.Combo)
 	if err != nil {
-		return ItemResult{Error: err.Error()}
+		return nil, err
 	}
 	cfg := config.Default()
 	cfg.Seed = cell.Seed
@@ -325,7 +319,7 @@ func runScalingItem(ctx context.Context, cell ScalingCell) ItemResult {
 	}
 	maxOver, ppe, err := experiment.RunScalingCell(ctx, cfg, sc, cell.Triples, cell.PeriodNS, cell.LimitW)
 	if err != nil {
-		return ItemResult{Error: err.Error()}
+		return nil, err
 	}
-	return ItemResult{Scaling: &ScalingCellResult{MaxOverLimit: maxOver, PPE: ppe}}
+	return &ScalingCellResult{MaxOverLimit: maxOver, PPE: ppe}, nil
 }

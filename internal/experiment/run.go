@@ -158,7 +158,7 @@ func (r RunResult) SpeedupOver(base RunResult) (perComp map[string]float64, tota
 }
 
 // Evaluator defaults shared by every construction site (NewEvaluator,
-// the job server's cluster delegation, remote fleet workers): runs are
+// and cluster.DefaultParams for served jobs and fleet workers): runs are
 // bounded at DefaultMaxDurFactor × TargetDur, and the fixed-voltage
 // baseline rail sits at DefaultFixedV.
 const (

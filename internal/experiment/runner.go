@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
-	"time"
 
 	"hcapp/internal/sim"
-	"hcapp/internal/telemetry"
 	"hcapp/internal/tracing"
 )
 
@@ -22,13 +21,12 @@ import (
 //
 // A nil *Runner is valid everywhere and means sequential execution, so
 // drivers take a runner without branching. The pool is shared across
-// concurrent batches (the job server runs many jobs over one runner);
+// concurrent batches (a fleet worker runs many slices over one runner);
 // tasks must not submit nested batches to the same runner, which could
 // exhaust the pool and deadlock.
 type Runner struct {
 	workers int
 	sem     chan struct{}
-	metrics *RunnerMetrics
 }
 
 // NewRunner builds a pool of the given width; workers < 1 selects
@@ -41,13 +39,6 @@ func NewRunner(workers int) *Runner {
 		workers = 1
 	}
 	return &Runner{workers: workers, sem: make(chan struct{}, workers)}
-}
-
-// WithMetrics attaches per-run telemetry (duration histogram, in-flight
-// and queue-depth gauges) published on every task execution.
-func (r *Runner) WithMetrics(m *RunnerMetrics) *Runner {
-	r.metrics = m
-	return r
 }
 
 // Workers reports the pool width (1 for a nil runner).
@@ -73,7 +64,7 @@ func (r *Runner) Tasks(ctx context.Context, n int, task func(ctx context.Context
 				return err
 			}
 			tctx, finish := traceTask(ctx, i)
-			err := r.observe(func() error { return task(tctx, i) })
+			err := task(tctx, i)
 			finish(err)
 			if err != nil {
 				return err
@@ -108,20 +99,17 @@ func (r *Runner) Tasks(ctx context.Context, n int, task func(ctx context.Context
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r.addWaiting(1)
 			select {
 			case r.sem <- struct{}{}:
-				r.addWaiting(-1)
 				defer func() { <-r.sem }()
 			case <-ctx.Done():
-				r.addWaiting(-1)
 				return
 			}
 			if ctx.Err() != nil {
 				return
 			}
 			tctx, finish := traceTask(ctx, i)
-			err := r.observe(func() error { return task(tctx, i) })
+			err := task(tctx, i)
 			finish(err)
 			if err != nil {
 				record(i, err)
@@ -186,42 +174,38 @@ func EndEngineSpan(span *tracing.ActiveSpan, worker string, dt sim.Time, res *Ru
 	return span.SetAttr("outcome", tracing.Outcome(err)).End()
 }
 
-// observe wraps one task execution with the runner's telemetry.
-func (r *Runner) observe(f func() error) error {
-	if r == nil || r.metrics == nil {
-		return f()
-	}
-	r.metrics.inFlight.Inc()
-	start := time.Now()
-	err := f()
-	r.metrics.inFlight.Dec()
-	r.metrics.duration.Observe(time.Since(start).Seconds())
-	return err
-}
+// PanicError is a recovered engine-run panic (RunContained), typed so a
+// caller can tell it from an ordinary run error.
+type PanicError struct{ Val any }
 
-func (r *Runner) addWaiting(d float64) {
-	if r.metrics != nil {
-		r.metrics.waiting.Add(d)
-	}
-}
+func (p PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Val) }
 
-// RunnerMetrics is the runner's telemetry family set; see
-// docs/METRICS.md for the catalogue entries.
-type RunnerMetrics struct {
-	duration *telemetry.Histogram
-	inFlight *telemetry.Gauge
-	waiting  *telemetry.Gauge
-}
-
-// NewRunnerMetrics registers the runner families on a registry.
-func NewRunnerMetrics(reg *telemetry.Registry) *RunnerMetrics {
-	return &RunnerMetrics{
-		duration: reg.Histogram("hcapp_run_duration_seconds",
-			"Wall-clock duration of one experiment task on the runner pool (cache hits land in the lowest buckets).",
-			telemetry.ExpBuckets(0.005, 2, 14)).With(),
-		inFlight: reg.Gauge("hcapp_runs_in_flight",
-			"Experiment tasks currently executing on the runner pool.").With(),
-		waiting: reg.Gauge("hcapp_runs_waiting",
-			"Experiment tasks queued for a runner worker.").With(),
+// RunContained runs one engine run so that a panic fails only that run,
+// not the goroutine of the pool executing it: a standalone job server
+// and a fleet worker both run theirs here. open starts the run's engine
+// span (nil when untraced, or when the engine runs on another node) and
+// run executes the run, returning its result and step. A panic in
+// either is recovered, its stack logged once through logf after who,
+// and returned as a PanicError. Whatever the outcome, the engine span is
+// then ended through EndEngineSpan, stamped with worker and, when run
+// succeeded with a result, with its counters.
+func RunContained(logf func(format string, args ...any), who, worker string, open func() *tracing.ActiveSpan, run func() (*RunResult, sim.Time, error)) (tracing.Span, error) {
+	var eng *tracing.ActiveSpan
+	var res *RunResult
+	var dt sim.Time
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				logf("%s panicked: %v\n%s", who, r, debug.Stack())
+				err = PanicError{Val: r}
+			}
+		}()
+		eng = open()
+		res, dt, err = run()
+		return err
+	}()
+	if err != nil {
+		res = nil
 	}
+	return EndEngineSpan(eng, worker, dt, res, err), err
 }

@@ -82,7 +82,7 @@ func TestPanicLogsStack(t *testing.T) {
 	})
 
 	var ev *experiment.Evaluator // nil evaluator panics inside the task
-	_, err := s.Manager().simulate(context.Background(), ev, experiment.RunSpec{}, "job-under-test", nil)
+	_, err := s.Manager().simulate(context.Background(), ev, experiment.RunSpec{}, "job-under-test")
 	if err == nil {
 		t.Fatal("panicking simulation returned nil error")
 	}
@@ -170,6 +170,20 @@ func TestCoordinatorRole(t *testing.T) {
 		t.Fatalf("fleet result diverged from standalone:\n fleet: %+v\n local: %+v",
 			*fleet.Result, *local.Result)
 	}
+	// Progress and the billed energy match too: the coordinator
+	// backfills progress from the fleet's result, and both roles track
+	// energy on every job.
+	if fleet.SimTimeNS != local.SimTimeNS || fleet.Steps != local.Steps {
+		t.Fatalf("progress diverged: fleet (%d ns, %d steps), standalone (%d ns, %d steps)",
+			fleet.SimTimeNS, fleet.Steps, local.SimTimeNS, local.Steps)
+	}
+	if fleet.Steps == 0 {
+		t.Fatal("delegated job reports no steps")
+	}
+	if fleet.Result.EnergyJoules <= 0 || fleet.Result.EnergyJoules != local.Result.EnergyJoules {
+		t.Fatalf("energy_joules: fleet %g, standalone %g, want equal and > 0",
+			fleet.Result.EnergyJoules, local.Result.EnergyJoules)
+	}
 
 	// Same request again: the fleet cache answers it.
 	st3, _ := postJob(t, ts, req)
@@ -200,5 +214,29 @@ func TestCoordinatorRole(t *testing.T) {
 	}
 	if got := m[`hcapp_tenant_throttled_total{tenant=acme}`]; got != 1 {
 		t.Fatalf("hcapp_tenant_throttled_total{tenant=acme} = %g, want 1", got)
+	}
+}
+
+// TestRefusedJobSpendsNoToken: admission refuses a job for draining or
+// a full queue before it debits the tenant's token bucket, so a refused
+// job leaves its tenant's token unspent.
+func TestRefusedJobSpendsNoToken(t *testing.T) {
+	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{
+		TenantRate:  0.001, // effectively no refill within the test
+		TenantBurst: 1,
+		Logf:        t.Logf,
+	})
+	s := New(Config{Workers: 1, Cluster: coord})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	req := JobRequest{Combo: "Mid-Mid", Scheme: "hcapp", Limit: "package-pin", DurMS: 0.5, Tenant: "acme"}
+	if _, err := s.Manager().Submit(req); err != ErrShuttingDown {
+		t.Fatalf("Submit while draining: err %v, want %v", err, ErrShuttingDown)
+	}
+	if !coord.Allow("acme", 1) {
+		t.Fatal("a job refused while draining spent its tenant's only token")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -30,20 +29,22 @@ var ErrShuttingDown = fmt.Errorf("server: shutting down")
 // synchronously.
 var ErrTenantThrottled = fmt.Errorf("server: tenant rate limit exceeded")
 
-// Manager owns the job table and the bounded worker pool. Every job
-// simulates on its own evaluator — the concurrency test in
+// Manager owns the job table and the bounded worker pool: its worker
+// goroutines are the pool, each running one job at a time. Every job
+// runs on its own evaluator — the concurrency test in
 // internal/experiment proves independent evaluators share no mutable
 // state — so workers scale across cores without locking the engine.
 type Manager struct {
 	cfg     Config
 	metrics *metrics
-	// runner is the shared experiment scheduler all jobs execute on; its
-	// width matches the worker count, so routing every simulation through
-	// it adds no queuing while publishing per-run telemetry.
-	runner *experiment.Runner
-	// cluster, when non-nil, is the coordinator jobs delegate to instead
-	// of simulating on the local runner (hcapp-serve -role coordinator).
+	// cluster, when non-nil, puts the manager in coordinator role
+	// (hcapp-serve -role coordinator): it gates readiness and admission.
 	cluster *cluster.Coordinator
+	// remote is every job evaluator's Remote: cluster in coordinator
+	// role, whose fleet then runs the engine, and nil (run locally)
+	// otherwise. It is set only from a non-nil cluster, because a nil
+	// *Coordinator in the interface would read as a remote runner.
+	remote experiment.RemoteRunner
 	// tracer records every job's span tree (nil disables tracing).
 	tracer *tracing.Tracer
 	logf   func(format string, args ...any)
@@ -70,12 +71,14 @@ func NewManager(cfg Config, m *metrics) *Manager {
 	mgr := &Manager{
 		cfg:     cfg,
 		metrics: m,
-		runner:  experiment.NewRunner(cfg.Workers).WithMetrics(m.runner),
 		cluster: cfg.Cluster,
 		tracer:  cfg.Tracer,
 		logf:    logf,
 		queue:   make(chan *Job, cfg.QueueDepth),
 		jobs:    make(map[string]*Job),
+	}
+	if cfg.Cluster != nil {
+		mgr.remote = cfg.Cluster
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		mgr.wg.Add(1)
@@ -112,16 +115,6 @@ func (mgr *Manager) Submit(req JobRequest) (*Job, error) {
 		seed = *req.Seed
 	}
 
-	// In coordinator role the per-tenant token bucket gates admission, so
-	// an over-limit tenant sees 429 at submit time instead of a queued
-	// job that fails later.
-	if mgr.cluster != nil && !mgr.cluster.Allow(req.Tenant, 1) {
-		mgr.metrics.jobsRejected.Inc()
-		return nil, ErrTenantThrottled
-	}
-
-	// Served jobs run on config.Default(), so its step sizes the buckets.
-	stepsPerSample := int(mgr.cfg.TraceSampleEvery / config.Default().TimeStep)
 	j := &Job{
 		id:      newJobID(),
 		req:     req,
@@ -130,7 +123,9 @@ func (mgr *Manager) Submit(req JobRequest) (*Job, error) {
 		seed:    seed,
 		state:   StateQueued,
 		created: time.Now(),
-		trace:   newTraceBuffer(stepsPerSample, mgr.cfg.MaxTraceSamples),
+		// Served jobs run on config.Default(), so its step sizes the
+		// buckets.
+		trace: newTraceBuffer(int(traceSampleEvery/config.Default().TimeStep), maxTraceSamples),
 	}
 	// Spans exist before the queue send: the worker goroutine that
 	// dequeues the job ends them, and the channel send is the
@@ -140,30 +135,33 @@ func (mgr *Manager) Submit(req JobRequest) (*Job, error) {
 	j.span.SetAttr("combo", req.Combo).SetAttr("tenant", req.Tenant)
 	j.qspan = mgr.tracer.StartSpan(j.span.Context(), "queue-wait")
 
-	// The whole admission — draining check, capacity check, table insert
-	// — happens under mgr.mu, making it atomic with respect to
-	// Shutdown's close(mgr.queue): a Submit that passed the draining
-	// check cannot race the close and send on a closed channel, and a
-	// full queue is detected before the job touches the table, so there
-	// is no rollback to get wrong. The send never blocks (it is a
-	// non-blocking select), so holding the lock across it is cheap.
+	// Admission is one ordered decision under mgr.mu: draining, then
+	// queue capacity, then — in coordinator role — the tenant's token
+	// bucket, then the send. Holding the lock makes it atomic with
+	// respect to Shutdown's close(mgr.queue), so a Submit that passed
+	// the draining check cannot send on a closed channel. Only Submit
+	// sends, so a slot seen free here stays free, and a job refused for
+	// either earlier reason spends no token. The bucket is debited at
+	// submit time, so an over-limit tenant sees 429 synchronously
+	// instead of a queued job that fails later.
 	mgr.mu.Lock()
-	if mgr.draining {
+	var refused error
+	switch {
+	case mgr.draining:
+		refused = ErrShuttingDown
+	case len(mgr.queue) == cap(mgr.queue):
+		refused = ErrQueueFull
+	case mgr.cluster != nil && !mgr.cluster.Allow(req.Tenant, 1):
+		refused = ErrTenantThrottled
+	}
+	if refused != nil {
 		mgr.mu.Unlock()
 		mgr.metrics.jobsRejected.Inc()
 		j.qspan.End()
 		j.span.SetAttr("outcome", "rejected").End()
-		return nil, ErrShuttingDown
+		return nil, refused
 	}
-	select {
-	case mgr.queue <- j:
-	default:
-		mgr.mu.Unlock()
-		mgr.metrics.jobsRejected.Inc()
-		j.qspan.End()
-		j.span.SetAttr("outcome", "rejected").End()
-		return nil, ErrQueueFull
-	}
+	mgr.queue <- j
 	mgr.jobs[j.id] = j
 	mgr.order = append(mgr.order, j.id)
 	mgr.evictLocked()
@@ -246,10 +244,6 @@ func (mgr *Manager) runJob(j *Job) {
 	j.started = start
 	j.mu.Unlock()
 	mgr.metrics.jobsRunning.Inc()
-	defer func() {
-		mgr.metrics.jobsRunning.Dec()
-		mgr.metrics.jobSeconds.Observe(time.Since(start).Seconds())
-	}()
 
 	// The queue wait ends the moment a worker picks the job up; server
 	// jobs are always the interactive class (fleet batch sweeps enter
@@ -267,42 +261,32 @@ func (mgr *Manager) runJob(j *Job) {
 		ctx = tracing.ContextWith(ctx, mgr.tracer, run.Context())
 	}
 
-	var res experiment.RunResult
-	var err error
-	if mgr.cluster != nil {
-		// Coordinator role: the fleet simulates. No per-step stream comes
-		// back over the wire, so the live trace stays empty; the static
-		// spec gauges still publish.
-		info := jobSpecInfo{limit: j.spec.Limit}
-		if !isFixed(j.spec) {
-			info.target = experiment.TargetPowerFor(j.spec.Limit)
-		}
-		mgr.metrics.newJobObserver(j, info)
-		res, err = mgr.delegate(ctx, j)
-		if err == nil {
-			j.trace.setProgress(res.Duration, int64(res.Duration/config.Default().TimeStep))
-		}
-	} else {
-		// One evaluator per job: it carries the run cache we do not want
-		// shared and isolates all mutable simulation state. It is not
-		// free: its first build generates every unit's workload trace,
-		// most of the time a 0.2 ms job spends building. It keeps those
-		// traces only for this job, so the server's memory does not
-		// grow with the seeds it has served.
-		ev := experiment.NewEvaluator().WithTargetDur(j.dur)
-		ev.Cfg.Seed = j.seed
-		// Attribute energy on every job so chargeback works in standalone
-		// role exactly as it does behind a coordinator (whose fleet
-		// workers always track energy).
-		ev.TrackEnergy = true
-		info := jobSpecInfo{limit: j.spec.Limit}
-		if !isFixed(j.spec) {
-			info.target = experiment.TargetPowerFor(j.spec.Limit)
-		}
-		obs := mgr.metrics.newJobObserver(j, info)
+	// One evaluator per job: it carries the run cache we do not want
+	// shared and isolates all mutable simulation state. It is not free:
+	// a local build first generates every unit's workload trace, most of
+	// the time a 0.2 ms job spends building. It keeps those traces only
+	// for this job, so the server's memory does not grow with the seeds
+	// it has served. In coordinator role the fleet runs the engine
+	// (ev.Remote), so no per-step stream reaches the observer and only
+	// the static spec gauges publish.
+	ev := cluster.DefaultParams(j.seed, j.dur).Evaluator()
+	// Attribute energy on every job, so chargeback bills a job the same
+	// in either role.
+	ev.TrackEnergy = true
+	ev.Remote = mgr.remote
+	info := jobSpecInfo{limit: j.spec.Limit}
+	if !isFixed(j.spec) {
+		info.target = experiment.TargetPowerFor(j.spec.Limit)
+	}
+	obs := mgr.metrics.newJobObserver(j, info)
+	ev.Observer = obs
 
-		res, err = mgr.simulate(ctx, ev, j.spec, j.id, obs)
-		obs.flush()
+	res, err := mgr.simulate(ctx, ev, j.spec, j.id)
+	obs.flush()
+	if err == nil {
+		// A remote run streams no steps, so take the final progress from
+		// the result; a local run's observer has already reached it.
+		j.trace.setProgress(res.Duration, int64(res.Duration/ev.Cfg.TimeStep))
 	}
 
 	reason := ""
@@ -310,7 +294,11 @@ func (mgr *Manager) runJob(j *Job) {
 		reason, err = mgr.failureReason(err)
 	}
 
+	// The pool gauges settle before the job reads as finished, so a
+	// client that sees it done scrapes them settled too.
 	end := time.Now()
+	mgr.metrics.jobsRunning.Dec()
+	mgr.metrics.jobSeconds.Observe(end.Sub(start).Seconds())
 	j.mu.Lock()
 	j.ended = end
 	if err != nil {
@@ -348,94 +336,46 @@ func (mgr *Manager) failureReason(err error) (string, error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout", fmt.Errorf("timeout after %s", mgr.cfg.JobTimeout)
-	case errors.As(err, new(panicError)):
+	case errors.As(err, new(experiment.PanicError)):
 		return "panic", err
 	default:
 		return "error", err
 	}
 }
 
-// panicError wraps a recovered simulation panic so runJob can classify
-// it separately from ordinary run errors.
-type panicError struct{ val any }
-
-func (p panicError) Error() string { return fmt.Sprintf("panic: %v", p.val) }
-
-// simulate runs the spec on the shared runner under ctx with panic
-// containment: a panicking simulation fails its own job instead of
-// killing a pool goroutine (which would silently shrink the pool for
-// the life of the process). The recover lives inside the task closure
-// because the task executes on the runner's goroutine, not this one.
-// The stack is logged exactly once here, tagged with the job id —
+// simulate runs spec on ev under ctx through experiment.RunContained,
+// so a panicking simulation fails its own job instead of killing a pool
+// goroutine (which would silently shrink the pool for the life of the
+// process). The recover installs before anything dereferences ev, and
+// the stack is logged exactly once, tagged with the job id —
 // hcapp_jobs_failed_total{reason="panic"} counts the event, but only
 // the log carries enough to debug it.
-func (mgr *Manager) simulate(ctx context.Context, ev *experiment.Evaluator, spec experiment.RunSpec, jobID string, obs *jobObserver) (experiment.RunResult, error) {
+//
+// A local run opens the item[0], attempt[0] and engine spans under the
+// run span that a remote run gets from Coordinator.Execute and the
+// fleet worker, so the job's span tree has one shape in either role,
+// and both stamp the engine span through experiment.EndEngineSpan.
+func (mgr *Manager) simulate(ctx context.Context, ev *experiment.Evaluator, spec experiment.RunSpec, jobID string) (experiment.RunResult, error) {
+	var item, attempt *tracing.ActiveSpan
+	open := func() *tracing.ActiveSpan {
+		tr, parent, ok := tracing.FromContext(ctx)
+		if !ok || ev.Remote != nil {
+			return nil
+		}
+		item = tr.StartSpan(parent, "item[0]")
+		attempt = tr.StartSpan(item.Context(), "attempt[0]")
+		attempt.SetAttr("worker", "local").SetAttr("kind", "primary")
+		return tr.StartSpan(attempt.Context(), "engine")
+	}
 	var res experiment.RunResult
-	err := mgr.runner.Tasks(ctx, 1, func(ctx context.Context, _ int) (err error) {
-		// The runner already opened item[0] under the run span; this task
-		// adds attempt[0] and the engine span, so a standalone tree is
-		// shape-identical to a fleet tree where a worker executed the
-		// engine stage. Both roles stamp the engine span from the run's
-		// result (experiment.EndEngineSpan).
-		var attempt, eng *tracing.ActiveSpan
-		var dt sim.Time
-		// The recover installs before anything dereferences ev: a nil
-		// evaluator must fail as a contained panic, not unwind the pool.
-		defer func() {
-			if r := recover(); r != nil {
-				mgr.logf("hcapp-serve: job %s panicked: %v\n%s", jobID, r, debug.Stack())
-				err = panicError{val: r}
-			}
-			var run *experiment.RunResult
-			if err == nil {
-				run = &res
-			}
-			experiment.EndEngineSpan(eng, "local", dt, run, err)
-			attempt.SetAttr("outcome", tracing.Outcome(err)).End()
-		}()
-		if tr, parent, ok := tracing.FromContext(ctx); ok {
-			attempt = tr.StartSpan(parent, "attempt[0]")
-			attempt.SetAttr("worker", "local").SetAttr("kind", "primary")
-			eng = tr.StartSpan(attempt.Context(), "engine")
-		}
-		dt = ev.Cfg.TimeStep
-		if obs != nil {
-			ev.Observer = obs
-		}
+	_, err := experiment.RunContained(mgr.logf, "hcapp-serve: job "+jobID, "local", open, func() (*experiment.RunResult, sim.Time, error) {
+		var err error
 		res, err = ev.RunContext(ctx, spec)
-		return err
+		return &res, ev.Cfg.TimeStep, err
 	})
+	attempt.SetAttr("outcome", tracing.Outcome(err)).End()
+	item.SetAttr("outcome", tracing.Outcome(err)).End()
 	return res, err
-}
-
-// delegate ships one job to the fleet as a single-item interactive
-// batch. The tenant bucket was already debited at Submit, so this calls
-// Execute (not RunBatch) to avoid charging twice.
-func (mgr *Manager) delegate(ctx context.Context, j *Job) (experiment.RunResult, error) {
-	params := cluster.DefaultParams(j.seed, j.dur)
-	wire, err := cluster.SpecOf(j.spec)
-	if err != nil {
-		return experiment.RunResult{}, err
-	}
-	resp, err := mgr.cluster.Execute(ctx, cluster.RunRequest{
-		Tenant:   j.req.Tenant,
-		Priority: cluster.PriorityInteractive,
-		Params:   params,
-		Items:    []cluster.Item{{Spec: &wire}},
-		// Chargeback bills every job's energy, as in standalone role.
-		Energy: true,
-	})
-	if err != nil {
-		return experiment.RunResult{}, err
-	}
-	ir := resp.Results[0]
-	if ir.Error != "" {
-		return experiment.RunResult{}, fmt.Errorf("cluster: %s", ir.Error)
-	}
-	if ir.Result == nil {
-		return experiment.RunResult{}, fmt.Errorf("cluster: fleet returned no result")
-	}
-	return ir.Result.RunResult(j.spec), nil
 }
 
 func isFixed(spec experiment.RunSpec) bool {

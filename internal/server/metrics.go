@@ -4,7 +4,6 @@ import (
 	"hcapp/internal/buildinfo"
 	"hcapp/internal/config"
 	"hcapp/internal/energy"
-	"hcapp/internal/experiment"
 	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 	"hcapp/internal/telemetry"
@@ -42,11 +41,6 @@ type metrics struct {
 	// rt republishes Go runtime health (goroutines, heap, GC) at scrape
 	// time.
 	rt *telemetry.RuntimeMetrics
-
-	// runner is the experiment scheduler's family set (per-run duration
-	// histogram, in-flight and queue-depth gauges), shared by the job
-	// workers' runner so /metrics reports suite progress.
-	runner *experiment.RunnerMetrics
 
 	// energy rolls per-job ledger summaries into the bounded-cardinality
 	// hcapp_energy_joules_total / hcapp_tenant_energy_joules_total
@@ -101,7 +95,6 @@ func newMetrics() *metrics {
 			"Wall-clock duration of each request-pipeline stage (job, queue-wait, run, item, attempt, engine, batch), fed by the tracer's locally finished spans.",
 			telemetry.DefBuckets(), "stage"),
 		rt:     telemetry.NewRuntimeMetrics(reg),
-		runner: experiment.NewRunnerMetrics(reg),
 		energy: energy.NewCollector(reg, energy.CollectorConfig{}),
 	}
 }

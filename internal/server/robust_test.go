@@ -82,12 +82,12 @@ func TestPanicContainedAndClassified(t *testing.T) {
 	// A nil evaluator panics inside the simulate frame; the recover must
 	// convert it into a job error instead of unwinding the worker.
 	var ev *experiment.Evaluator
-	_, err := mgr.simulate(context.Background(), ev, experiment.RunSpec{}, "test-job", nil)
+	_, err := mgr.simulate(context.Background(), ev, experiment.RunSpec{}, "test-job")
 	if err == nil {
 		t.Fatal("panicking simulation returned nil error")
 	}
-	if !errors.As(err, new(panicError)) {
-		t.Fatalf("err %T not a panicError: %v", err, err)
+	if !errors.As(err, new(experiment.PanicError)) {
+		t.Fatalf("err %T not an experiment.PanicError: %v", err, err)
 	}
 	if !strings.Contains(err.Error(), "panic:") {
 		t.Fatalf("panic error lost its message: %q", err)
@@ -113,7 +113,7 @@ func TestFailureReasonClassification(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "timeout after 1s") {
 		t.Fatalf("timeout error = %q", err)
 	}
-	if reason, _ := mgr.failureReason(panicError{val: "boom"}); reason != "panic" {
+	if reason, _ := mgr.failureReason(experiment.PanicError{Val: "boom"}); reason != "panic" {
 		t.Fatalf("panic classified %q", reason)
 	}
 	if reason, _ := mgr.failureReason(errors.New("bad spec")); reason != "error" {

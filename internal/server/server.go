@@ -29,11 +29,6 @@ type Config struct {
 	// finished jobs evicted first). Evicting a job also deletes its
 	// per-job metric series, so this bounds /metrics cardinality too.
 	MaxJobs int
-	// TraceSampleEvery is the live trace down-sampling bucket in
-	// simulated time (default 10 µs).
-	TraceSampleEvery sim.Time
-	// MaxTraceSamples bounds each job's trace buffer (default 65536).
-	MaxTraceSamples int
 	// MaxTraces bounds the span store behind GET /v1/traces (default
 	// 256 traces, FIFO eviction; see docs/TRACING.md).
 	MaxTraces int
@@ -47,10 +42,10 @@ type Config struct {
 	// simulations that are slow in wall clock (a hung or mis-sized run
 	// must not pin a worker forever).
 	JobTimeout time.Duration
-	// Cluster, when non-nil, puts the server in coordinator role: jobs
-	// delegate to the fleet instead of the local pool, the cluster
-	// control-plane endpoints mount under /v1/cluster/, and /readyz
-	// requires at least one live fleet worker.
+	// Cluster, when non-nil, puts the server in coordinator role: every
+	// job's evaluator runs its engine on the fleet (Evaluator.Remote),
+	// the cluster control-plane endpoints mount under /v1/cluster/, and
+	// /readyz requires at least one live fleet worker.
 	Cluster *cluster.Coordinator
 	// Chaos, when non-nil, is the fault injector wrapped around this
 	// node's transport (hcapp-serve -chaos-seed). The server only
@@ -74,12 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
-	}
-	if c.TraceSampleEvery <= 0 {
-		c.TraceSampleEvery = 10 * sim.Microsecond
-	}
-	if c.MaxTraceSamples <= 0 {
-		c.MaxTraceSamples = 65536
 	}
 	return c
 }
@@ -272,7 +261,7 @@ type traceResponse struct {
 	Samples    []TraceSample `json:"samples"`
 	NextOffset int           `json:"next_offset"`
 	// Dropped counts samples lost after the buffer cap; nonzero means
-	// the job outran MaxTraceSamples.
+	// the job outran maxTraceSamples.
 	Dropped int64 `json:"dropped,omitempty"`
 }
 

@@ -202,14 +202,13 @@ func TestEndToEnd(t *testing.T) {
 	if m[fmt.Sprintf("hcapp_power_limit_watts{job=%s,limit=package-pin}", st.ID)] != 100 {
 		t.Fatal("power limit gauge missing or wrong")
 	}
-	// The job executed through the shared experiment runner, so the
-	// per-run scheduler families must report it.
-	if m["hcapp_run_duration_seconds_count"] < 1 {
-		t.Fatalf("run_duration_seconds_count = %g, want >= 1", m["hcapp_run_duration_seconds_count"])
+	// The job families carry the run's duration and the pool's load.
+	if m["hcapp_job_duration_seconds_count"] < 1 {
+		t.Fatalf("job_duration_seconds_count = %g, want >= 1", m["hcapp_job_duration_seconds_count"])
 	}
-	if m["hcapp_runs_in_flight"] != 0 || m["hcapp_runs_waiting"] != 0 {
-		t.Fatalf("runner gauges nonzero after job completed: in_flight %g, waiting %g",
-			m["hcapp_runs_in_flight"], m["hcapp_runs_waiting"])
+	if m["hcapp_jobs_running"] != 0 || m["hcapp_jobs_queue_depth"] != 0 {
+		t.Fatalf("job gauges nonzero after job completed: running %g, queue depth %g",
+			m["hcapp_jobs_running"], m["hcapp_jobs_queue_depth"])
 	}
 }
 

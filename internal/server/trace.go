@@ -7,6 +7,14 @@ import (
 	"hcapp/internal/sim"
 )
 
+// A job's live trace averages package power over buckets of
+// traceSampleEvery simulated time and keeps at most maxTraceSamples of
+// them.
+const (
+	traceSampleEvery = 10 * sim.Microsecond
+	maxTraceSamples  = 65536
+)
+
 // TraceSample is one down-sampled point of a job's live power trace.
 type TraceSample struct {
 	// TNS is simulated time, nanoseconds.
@@ -96,8 +104,8 @@ func (b *traceBuffer) Progress() (sim.Time, int64) {
 	return b.now.Load(), b.steps.Load()
 }
 
-// setProgress backfills the progress counters for a job whose
-// simulation ran elsewhere (fleet delegation): no per-step stream ever
+// setProgress backfills the progress counters from a finished run, for
+// a job whose simulation ran on the fleet: no per-step stream ever
 // reached this buffer, but the finished record should still report how
 // far the simulation got.
 func (b *traceBuffer) setProgress(now sim.Time, steps int64) {

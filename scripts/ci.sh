@@ -230,8 +230,10 @@ trap 'rm -rf "$tmp"' EXIT
 # tree on the coordinator — worker engine spans shipped back over the
 # wire, zero orphans — and the tree's canonical structure must be
 # byte-identical across distinct jobs, and between fleet and standalone
-# execution. The standalone node also proves -pprof mounts the profiling
-# endpoints and that runtime gauges land in the scrape.
+# execution. The same job must also finish with the same result,
+# sim_time_ns and steps on the coordinator as on the standalone node.
+# The standalone node also proves -pprof mounts the profiling endpoints
+# and that runtime gauges land in the scrape.
 echo "== trace integrity (coordinator + 2 workers vs standalone) =="
 "$tmp/hcapp-serve" -role coordinator -addr 127.0.0.1:18100 &
 coord_pid=$!
@@ -287,15 +289,19 @@ run_job() {
 	echo "$id"
 }
 
-# Submits one job, waits for it, and prints its span-tree structure.
+# Submits one Mid-Mid job (seed $2) to $1, waits for it, writes its
+# sim_time_ns, steps and result object to $3, and prints its span-tree
+# structure.
 run_traced_job() {
 	id="$(run_job "$1" Mid-Mid "$2")"
+	curl -fsS "$1/v1/jobs/$id" |
+		sed -n -e '/^  "sim_time_ns":/p' -e '/^  "steps":/p' -e '/^  "result": {/,/^  }/p' >"$3"
 	curl -fsS "$1/v1/traces?job=$id&view=structure"
 }
 
-run_traced_job http://127.0.0.1:18100 101 >"$tmp/trace-fleet-a.txt"
-run_traced_job http://127.0.0.1:18100 202 >"$tmp/trace-fleet-b.txt"
-run_traced_job http://127.0.0.1:18103 101 >"$tmp/trace-solo.txt"
+run_traced_job http://127.0.0.1:18100 101 "$tmp/job-fleet-a.txt" >"$tmp/trace-fleet-a.txt"
+run_traced_job http://127.0.0.1:18100 202 "$tmp/job-fleet-b.txt" >"$tmp/trace-fleet-b.txt"
+run_traced_job http://127.0.0.1:18103 101 "$tmp/job-solo.txt" >"$tmp/trace-solo.txt"
 
 if [ "$(head -n 1 "$tmp/trace-fleet-a.txt")" != "job" ]; then
 	echo "trace integrity: fleet trace does not root at a job span"
@@ -315,6 +321,13 @@ fi
 diff -u "$tmp/trace-fleet-a.txt" "$tmp/trace-fleet-b.txt"
 diff -u "$tmp/trace-fleet-a.txt" "$tmp/trace-solo.txt"
 echo "span-tree structure identical across jobs and across fleet/standalone"
+if [ "$(grep -c -e '"sim_time_ns"' -e '"steps"' -e '"result"' "$tmp/job-solo.txt")" != 3 ]; then
+	echo "trace integrity: standalone job record lacks sim_time_ns, steps or result"
+	cat "$tmp/job-solo.txt"
+	exit 1
+fi
+diff -u "$tmp/job-fleet-a.txt" "$tmp/job-solo.txt"
+echo "seed-101 Mid-Mid result, sim_time_ns and steps identical on coordinator and standalone"
 
 scrape="$(curl -fsS http://127.0.0.1:18100/metrics)"
 for want in hcapp_stage_duration_seconds hcapp_queue_wait_seconds hcapp_go_goroutines; do
