@@ -4,8 +4,11 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"hcapp/internal/experiment"
 )
 
 // countingWriter counts the body bytes a handler writes.
@@ -19,12 +22,15 @@ func (w countingWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// BenchmarkClientRunRemoteHot prices one fleet-cache hit the way
-// hcappsim pays it: Client.RunRemote against an in-process coordinator
-// whose cache already holds the item, so an op is one loopback round
-// trip with the JSON encode and decode on both ends. "lean" is what an
-// evaluator without TrackEnergy asks for; "energy" also carries the
-// ledger. wire_B/op is the reply body size. Run with
+// BenchmarkClientRunRemoteHot prices fleet-cache hits the way hcappsim
+// pays them: Client.RunRemote against an in-process coordinator whose
+// cache already holds every item, so an op is one loopback round trip
+// with the JSON encode and decode on both ends. "lean" is one spec the
+// way an evaluator without TrackEnergy asks for it; "energy" also
+// carries the ledger; "batch" is a whole lean batch of eight specs in
+// one request, the shape an evaluator's RunSpecs sends. wire_B/op is
+// the reply body size; wire_B/item and allocs/item divide the op by its
+// specs. Run with
 //
 //	go test -run NONE -bench ClientRunRemoteHot ./internal/cluster
 func BenchmarkClientRunRemoteHot(b *testing.B) {
@@ -41,28 +47,38 @@ func BenchmarkClientRunRemoteHot(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := testParams()
-	spec, err := testItems(b, 1)[0].Spec.RunSpec()
-	if err != nil {
-		b.Fatal(err)
+	items := testItems(b, 8)
+	specs := make([]experiment.RunSpec, len(items))
+	for i, it := range items {
+		if specs[i], err = it.Spec.RunSpec(); err != nil {
+			b.Fatal(err)
+		}
 	}
 	ctx := context.Background()
 	// The cold run fills the fleet cache; every timed op is a hit.
-	if _, err := cl.RunRemote(ctx, p.Seed, p.TargetDurNS, p.MaxDurFactor, p.FixedV, false, spec); err != nil {
+	if _, err := cl.RunRemote(ctx, p.Seed, p.TargetDurNS, p.MaxDurFactor, p.FixedV, false, specs); err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
 		name   string
 		energy bool
-	}{{"lean", false}, {"energy", true}} {
+		specs  []experiment.RunSpec
+	}{{"lean", false, specs[:1]}, {"energy", true, specs[:1]}, {"batch", false, specs}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			wire.Store(0)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.RunRemote(ctx, p.Seed, p.TargetDurNS, p.MaxDurFactor, p.FixedV, bc.energy, spec); err != nil {
+				if _, err := cl.RunRemote(ctx, p.Seed, p.TargetDurNS, p.MaxDurFactor, p.FixedV, bc.energy, bc.specs); err != nil {
 					b.Fatal(err)
 				}
 			}
+			runtime.ReadMemStats(&m1)
+			items := float64(b.N * len(bc.specs))
 			b.ReportMetric(float64(wire.Load())/float64(b.N), "wire_B/op")
+			b.ReportMetric(float64(wire.Load())/items, "wire_B/item")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/items, "allocs/item")
 		})
 	}
 }

@@ -233,7 +233,7 @@ func TestRunRemoteRefusesRedefinedCombo(t *testing.T) {
 	if _, err := SpecOf(spec); err == nil {
 		t.Fatal("SpecOf shipped a redefined Hi-Hi under the built-in's name")
 	}
-	if _, err := c.RunRemote(context.Background(), 42, sim.Millisecond, experiment.DefaultMaxDurFactor, experiment.DefaultFixedV, false, spec); err == nil {
+	if _, err := c.RunRemote(context.Background(), 42, sim.Millisecond, experiment.DefaultMaxDurFactor, experiment.DefaultFixedV, false, []experiment.RunSpec{spec}); err == nil {
 		t.Fatal("RunRemote returned a result for a redefined Hi-Hi")
 	}
 	if n := attempts.Load(); n != 0 {

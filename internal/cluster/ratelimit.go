@@ -72,6 +72,12 @@ func (l *Limiter) Allow(tenant string, n int) bool {
 	return true
 }
 
+// Fits reports whether a request of n items can ever be admitted: with
+// limiting on, no refill lifts a bucket above its burst.
+func (l *Limiter) Fits(n int) bool {
+	return l == nil || l.rate <= 0 || float64(n) <= l.burst
+}
+
 // Tenants reports how many tenant buckets exist (tests, introspection).
 func (l *Limiter) Tenants() int {
 	l.mu.Lock()
