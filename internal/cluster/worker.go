@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -63,16 +64,28 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 }
 
 // Worker executes batch slices the coordinator ships over. It holds one
-// bounded Runner so slices parallelize across local cores, and builds a
-// fresh evaluator per request from the wire Params — identical to the
+// bounded Runner so slices parallelize across local cores, and runs a
+// slice on an evaluator built from the wire Params — identical to the
 // evaluator a standalone run would use, which is what makes fleet output
-// byte-identical to single-node output.
+// byte-identical to single-node output. Consecutive slices under the
+// same Params share that evaluator.
 type Worker struct {
 	cfg    WorkerConfig
 	runner *experiment.Runner
 	// heartbeatEvery is learned from the register response.
 	heartbeatEvery time.Duration
 	registered     atomic.Bool
+
+	// last is the evaluator of the latest slice and the Params it was
+	// built from. A slice under the same Params reuses it, and with it
+	// the trace sets its builds generated: a client's figure batches
+	// arrive as one slice per figure, all under one seed. Its result
+	// cache comes along (answering a hedge's duplicate item), holding
+	// one Params' results at most: a slice under other Params replaces
+	// the evaluator.
+	lastMu     sync.Mutex
+	lastParams Params
+	last       *experiment.Evaluator
 }
 
 // NewWorker builds a worker (not yet registered).
@@ -228,7 +241,30 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(rw, http.StatusOK, resp)
+	writeSliceResponse(rw, resp)
+}
+
+// writeSliceResponse writes resp as writeJSON does, one result at a
+// time: the encoder's buffer then holds one item's JSON, energy ledger
+// included, instead of growing to the whole slice's (about 130 KB for
+// a 32-item figure slice, allocated at every doubling on the way).
+func writeSliceResponse(rw http.ResponseWriter, resp *RunResponse) {
+	rw.Header().Set("Content-Type", "application/json")
+	rw.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(rw)
+	io.WriteString(rw, `{"results":[`)
+	for i := range resp.Results {
+		if i > 0 {
+			io.WriteString(rw, ",")
+		}
+		enc.Encode(&resp.Results[i])
+	}
+	fmt.Fprintf(rw, `],"cache_hits":%d`, resp.CacheHits)
+	if len(resp.Spans) > 0 {
+		io.WriteString(rw, `,"spans":`)
+		enc.Encode(resp.Spans)
+	}
+	io.WriteString(rw, "}\n")
 }
 
 // RunSlice executes the items on the local pool and returns
@@ -236,15 +272,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 // (experiment.RunContained), its stack logged once with the item index.
 func (w *Worker) RunSlice(ctx context.Context, params Params, items []Item) (*RunResponse, error) {
 	resp := &RunResponse{Results: make([]ItemResult, len(items))}
-	// The evaluator stays runner-less: items fan out through the pool
-	// right here, and nesting RunSpecs batches inside pool tasks would
-	// deadlock the shared runner.
-	ev := params.Evaluator()
-	// Workers always carry the energy ledger: it is passive (identical
-	// simulated metrics), and it makes every fleet result — and every
-	// fleet-cache hit — usable for coordinator-side chargeback no matter
-	// which client's request populated the cache.
-	ev.TrackEnergy = true
+	ev := w.evaluator(params)
 	var spanMu sync.Mutex
 	err := w.runner.Tasks(ctx, len(items), func(ctx context.Context, i int) error {
 		res, span := w.runItem(ctx, ev, items[i], i)
@@ -263,6 +291,27 @@ func (w *Worker) RunSlice(ctx context.Context, params Params, items []Item) (*Ru
 	// byte-comparable across runs.
 	sort.Slice(resp.Spans, func(a, b int) bool { return resp.Spans[a].Path < resp.Spans[b].Path })
 	return resp, nil
+}
+
+// evaluator returns the evaluator for params: the last slice's when it
+// ran under the same params, else a fresh one that becomes the last.
+func (w *Worker) evaluator(params Params) *experiment.Evaluator {
+	w.lastMu.Lock()
+	defer w.lastMu.Unlock()
+	if w.last != nil && w.lastParams == params {
+		return w.last
+	}
+	// The evaluator stays runner-less: items fan out through the pool
+	// in RunSlice, and nesting RunSpecs batches inside pool tasks would
+	// deadlock the shared runner.
+	ev := params.Evaluator()
+	// Workers always carry the energy ledger: it is passive (identical
+	// simulated metrics), and it makes every fleet result — and every
+	// fleet-cache hit — usable for coordinator-side chargeback no matter
+	// which client's request populated the cache.
+	ev.TrackEnergy = true
+	w.last, w.lastParams = ev, params
+	return ev
 }
 
 func (w *Worker) runItem(ctx context.Context, ev *experiment.Evaluator, it Item, idx int) (ItemResult, tracing.Span) {

@@ -142,6 +142,10 @@ type BuildOptions struct {
 	// Evaluator passes its own so that every build it makes shares
 	// them; nil makes assemble generate fresh ones for this build.
 	traces *traceSets
+	// powerWindow, when positive, gives the engine a recorder that
+	// keeps no power series, only the sums AvgPower and MaxWindowAvg
+	// over this window need (trace.NewWindowRecorder).
+	powerWindow sim.Time
 }
 
 // System bundles an assembled engine with handles the experiments need.
@@ -366,7 +370,12 @@ func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*Syste
 		ledgerSlots[i] = ls
 	}
 
-	rec, err := trace.NewRecorder(cfg.TimeStep)
+	var rec *trace.Recorder
+	if opts.powerWindow > 0 {
+		rec, err = trace.NewWindowRecorder(cfg.TimeStep, opts.powerWindow)
+	} else {
+		rec, err = trace.NewRecorder(cfg.TimeStep)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"hcapp/internal/config"
@@ -357,5 +360,53 @@ func TestEvaluatorDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a.AvgPower != b.AvgPower || a.MaxWindowPower != b.MaxWindowPower || a.Duration != b.Duration {
 		t.Fatalf("evaluator runs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestEvaluatorRunKeepsNoPowerSeries: an evaluator run, whose recorder
+// keeps only the limit window's sums, returns the RunResult of the
+// same system built through BuildSized, whose recorder keeps a sample
+// per step; and it allocates less than that series alone would take.
+func TestEvaluatorRunKeepsNoPowerSeries(t *testing.T) {
+	combo, err := ComboByName("Burst-Burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := NewEvaluator().FixedScheme()
+	for _, spec := range []RunSpec{
+		hcappSpec(combo, config.PackagePinLimit()),
+		{Combo: combo, Scheme: fixed, Limit: config.PackagePinLimit()},
+		hcappSpec(combo, config.OffPackageVRLimit()),
+	} {
+		// One evaluator for both, so the trace sets are built before
+		// the measured run.
+		ev := NewEvaluator().WithTargetDur(2 * sim.Millisecond)
+		sys, run, err := ev.BuildSized(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seriesBytes := uint64(sys.Engine.Recorder().Steps()) * 8
+
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		got, err := ev.Run(spec)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := string(spec.Scheme.Kind) + " under " + spec.Limit.Name
+		got.Spec, want.Spec = RunSpec{}, RunSpec{} // combos hold funcs
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: evaluator run\n%+v\nwant the series recorder's\n%+v", name, got, want)
+		}
+		alloc := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("%s: %d steps, the evaluator run allocated %d bytes", name, seriesBytes/8, alloc)
+		if alloc >= seriesBytes {
+			t.Fatalf("%s: the evaluator run allocated %d bytes, not under the %d-byte series of its steps", name, alloc, seriesBytes)
+		}
 	}
 }

@@ -19,6 +19,24 @@ type Recorder struct {
 	total   []float64
 	prefix  []float64 // lazy prefix sums over total
 	prefixN int
+	// win, when set, replaces the series: see NewWindowRecorder.
+	win *windowSums
+}
+
+// windowSums is the running state of a recorder that keeps no series:
+// the prefix sum over every sample, the prefix sum one window behind
+// it, and the largest window average so far. The arithmetic is the
+// series recorder's own, term for term, so both give bit-identical
+// AvgPower and MaxWindowAvg.
+type windowSums struct {
+	window sim.Time
+	k      int       // window in steps
+	ring   []float64 // the last k samples; next is the oldest
+	next   int
+	n      int     // samples recorded
+	sum    float64 // prefix sum over all n samples
+	lag    float64 // prefix sum over the first n-k samples, once n >= k
+	max    float64 // largest window average over a full window
 }
 
 // NewRecorder returns a recorder for steps of dt.
@@ -27,6 +45,44 @@ func NewRecorder(dt sim.Time) (*Recorder, error) {
 		return nil, fmt.Errorf("trace: non-positive timestep %d", dt)
 	}
 	return &Recorder{dt: dt}, nil
+}
+
+// NewWindowRecorder returns a recorder for steps of dt that keeps only
+// what AvgPower, PPE and MaxWindowAvg over window need: memory of one
+// window, not one sample per step. It holds no series, so Totals,
+// Series and WindowSeries see no samples, and MaxWindowAvg answers for
+// window alone.
+func NewWindowRecorder(dt, window sim.Time) (*Recorder, error) {
+	r, err := NewRecorder(dt)
+	if err != nil {
+		return nil, err
+	}
+	k := windowSteps(window, dt)
+	r.win = &windowSums{window: window, k: k, ring: make([]float64, k), max: math.Inf(-1)}
+	return r, nil
+}
+
+// windowSteps is window in whole steps of dt, at least one.
+func windowSteps(window, dt sim.Time) int {
+	return max(int(window/dt), 1)
+}
+
+// add records one sample into the running sums.
+func (w *windowSums) add(x float64) {
+	w.ring[w.next] = x
+	w.sum += x
+	w.n++
+	if w.next++; w.next == w.k {
+		w.next = 0
+	}
+	if w.n < w.k {
+		return
+	}
+	if avg := (w.sum - w.lag) / float64(w.k); avg > w.max {
+		w.max = avg
+	}
+	// The sample now leaving the window is the ring's oldest.
+	w.lag += w.ring[w.next]
 }
 
 // MustRecorder is NewRecorder that panics on invalid input.
@@ -40,6 +96,10 @@ func MustRecorder(dt sim.Time) *Recorder {
 
 // Record appends one step's total package power.
 func (r *Recorder) Record(total float64) {
+	if r.win != nil {
+		r.win.add(total)
+		return
+	}
 	r.total = append(r.total, total)
 }
 
@@ -47,6 +107,12 @@ func (r *Recorder) Record(total float64) {
 // of a steady-state stride: one capacity check, then a fill.
 func (r *Recorder) RecordN(total float64, n int) {
 	if n <= 0 {
+		return
+	}
+	if r.win != nil {
+		for range n {
+			r.win.add(total)
+		}
 		return
 	}
 	start := len(r.total)
@@ -61,7 +127,7 @@ func (r *Recorder) RecordN(total float64, n int) {
 // without reallocating — the preallocation the engine's zero-alloc
 // steady-state guard relies on.
 func (r *Recorder) Grow(n int) {
-	if n <= 0 {
+	if n <= 0 || r.win != nil {
 		return
 	}
 	if cap(r.total)-len(r.total) < n {
@@ -72,7 +138,12 @@ func (r *Recorder) Grow(n int) {
 }
 
 // Steps returns the number of recorded steps.
-func (r *Recorder) Steps() int { return len(r.total) }
+func (r *Recorder) Steps() int {
+	if r.win != nil {
+		return r.win.n
+	}
+	return len(r.total)
+}
 
 // Totals returns the raw per-step power series. The slice is the
 // recorder's own backing store — callers must treat it as read-only. It
@@ -81,7 +152,7 @@ func (r *Recorder) Steps() int { return len(r.total) }
 func (r *Recorder) Totals() []float64 { return r.total }
 
 // Duration returns the recorded span.
-func (r *Recorder) Duration() sim.Time { return sim.Time(len(r.total)) * r.dt }
+func (r *Recorder) Duration() sim.Time { return sim.Time(r.Steps()) * r.dt }
 
 // DT returns the recorder's timestep.
 func (r *Recorder) DT() sim.Time { return r.dt }
@@ -92,7 +163,7 @@ func (r *Recorder) ensurePrefix() {
 		return
 	}
 	if len(r.prefix) == 0 {
-		r.prefix = make([]float64, 1, len(r.total)+1)
+		r.prefix = append(slices.Grow(r.prefix, len(r.total)+1), 0)
 	}
 	for i := r.prefixN; i < len(r.total); i++ {
 		r.prefix = append(r.prefix, r.prefix[i]+r.total[i])
@@ -102,6 +173,12 @@ func (r *Recorder) ensurePrefix() {
 
 // AvgPower returns the run's average package power.
 func (r *Recorder) AvgPower() float64 {
+	if r.win != nil {
+		if r.win.n == 0 {
+			return 0
+		}
+		return r.win.sum / float64(r.win.n)
+	}
 	if len(r.total) == 0 {
 		return 0
 	}
@@ -124,13 +201,22 @@ func (r *Recorder) PPE(provisionedWatts float64) float64 {
 // maximum power and a time window over which that maximum power is
 // evaluated".
 func (r *Recorder) MaxWindowAvg(window sim.Time) float64 {
+	k := windowSteps(window, r.dt)
+	if w := r.win; w != nil {
+		if k != w.k {
+			panic(fmt.Sprintf("trace: MaxWindowAvg over %d ns from a recorder kept for %d ns", window, w.window))
+		}
+		switch {
+		case w.n == 0:
+			return 0
+		case k >= w.n:
+			return w.sum / float64(w.n)
+		}
+		return w.max
+	}
 	n := len(r.total)
 	if n == 0 {
 		return 0
-	}
-	k := int(window / r.dt)
-	if k < 1 {
-		k = 1
 	}
 	r.ensurePrefix()
 	if k >= n {
@@ -208,6 +294,10 @@ func (r *Recorder) WindowSeries(window, sampleEvery sim.Time) []Point {
 // kept, so a warmed-up recorder records the next run without
 // allocating.
 func (r *Recorder) Reset() {
+	if w := r.win; w != nil {
+		clear(w.ring)
+		w.next, w.n, w.sum, w.lag, w.max = 0, 0, 0, 0, math.Inf(-1)
+	}
 	r.total = r.total[:0]
 	r.prefix = r.prefix[:0]
 	r.prefixN = 0

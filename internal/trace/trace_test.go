@@ -233,3 +233,76 @@ func TestReset(t *testing.T) {
 		t.Fatalf("post-reset AvgPower = %g", got)
 	}
 }
+
+// TestWindowRecorderMatchesSeries: a recorder that keeps only the
+// window sums answers AvgPower, PPE and MaxWindowAvg bit for bit as the
+// series recorder does over the same samples, Record and RecordN mixed,
+// for windows of one step, a few steps and longer than the run, and
+// again after Reset.
+func TestWindowRecorderMatchesSeries(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, window := range []sim.Time{50, 100, 700, 2500, 1 << 20} {
+		w, err := NewWindowRecorder(100, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			s := MustRecorder(100)
+			same := func(what string) {
+				t.Helper()
+				pairs := [][2]float64{
+					{s.AvgPower(), w.AvgPower()},
+					{s.PPE(73), w.PPE(73)},
+					{s.MaxWindowAvg(window), w.MaxWindowAvg(window)},
+				}
+				for i, p := range pairs {
+					if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+						t.Fatalf("window %d, round %d, %s: metric %d series %v, window recorder %v", window, round, what, i, p[0], p[1])
+					}
+				}
+				if s.Steps() != w.Steps() || s.Duration() != w.Duration() {
+					t.Fatalf("window %d, %s: steps %d/%d, duration %d/%d", window, what, s.Steps(), w.Steps(), s.Duration(), w.Duration())
+				}
+			}
+			same("empty")
+			for i := 0; i < 400; i++ {
+				p := 40 + 60*rng.NormFloat64() // some negative: no sign shortcut hides a bug
+				if rng.Intn(4) == 0 {
+					n := rng.Intn(30)
+					s.RecordN(p, n)
+					w.RecordN(p, n)
+				} else {
+					s.Record(p)
+					w.Record(p)
+				}
+				if i%37 == 0 {
+					same("mid-run")
+				}
+			}
+			same("end")
+			if w.Totals() != nil {
+				t.Fatal("window recorder kept a series")
+			}
+			w.Reset()
+		}
+	}
+}
+
+// TestWindowRecorderOtherWindowPanics: a window recorder cannot answer
+// for a window it did not keep.
+func TestWindowRecorderOtherWindowPanics(t *testing.T) {
+	w, err := NewWindowRecorder(100, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Record(1)
+	if got := w.MaxWindowAvg(2050); got != 1 {
+		t.Fatalf("MaxWindowAvg over the same whole-step window = %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MaxWindowAvg over another window did not panic")
+		}
+	}()
+	w.MaxWindowAvg(1000)
+}
