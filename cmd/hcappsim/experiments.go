@@ -202,7 +202,7 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 		}
 		fmt.Print(r.Render())
 	case "seeds":
-		sw, err := experiment.RunSeedSweepWith(runner, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), ev.TargetDur)
+		sw, err := experiment.RunSeedSweepWith(runner, ev.Remote, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), ev.TargetDur)
 		if err != nil {
 			return err
 		}

@@ -280,7 +280,7 @@ func (r *reporter) extensions() error {
 	r.check("healthy sensor holds the limit", healthyOK)
 	r.check("a 25% optimistic sensor breaks the limit (documented failure mode)", optimisticBad)
 
-	sw, err := experiment.RunSeedSweepWith(r.runner, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), r.ev.TargetDur/2)
+	sw, err := experiment.RunSeedSweepWith(r.runner, r.ev.Remote, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), r.ev.TargetDur/2)
 	if err != nil {
 		return err
 	}

@@ -263,7 +263,7 @@ func RunSeedSweep(seeds []int64, limit PowerLimit, dur Time) (*SeedSweep, error)
 // RunSeedSweepWith runs the seed sweep with the per-seed loop fanned
 // over a runner.
 func RunSeedSweepWith(r *Runner, seeds []int64, limit PowerLimit, dur Time) (*SeedSweep, error) {
-	return experiment.RunSeedSweepWith(r, seeds, limit, dur)
+	return experiment.RunSeedSweepWith(r, nil, seeds, limit, dur)
 }
 
 // ComboSpec is the JSON description of a custom benchmark combination.

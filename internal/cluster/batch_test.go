@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"hcapp/internal/config"
 	"hcapp/internal/experiment"
+	"hcapp/internal/sim"
 	"hcapp/internal/tracing"
 )
 
@@ -356,5 +358,52 @@ func TestWorkerReusesEvaluatorPerParams(t *testing.T) {
 	q.Seed++
 	if other := w.evaluator(q); other == ev || other.Cfg.Seed != q.Seed {
 		t.Fatal("new Params reused the old evaluator")
+	}
+}
+
+// TestItemKeyIsTheEvaluatorCacheKey: the fleet keys a spec item by the
+// evaluator cache key its params would give, without building that
+// evaluator, for every suite combo, scheme, limit and priority set.
+func TestItemKeyIsTheEvaluatorCacheKey(t *testing.T) {
+	prios := []map[string]float64{nil, {"cpu": 1, "gpu": 0.25}, {"gpu": 0.5, "cpu": 0.5, "sha": 0.125}}
+	for _, p := range []Params{testParams(), DefaultParams(-7, 3*sim.Millisecond)} {
+		ev := p.Evaluator()
+		for _, combo := range experiment.Suite() {
+			for _, scheme := range config.StandardSchemes() {
+				for _, limit := range []config.PowerLimit{config.PackagePinLimit(), config.OffPackageVRLimit()} {
+					for _, pr := range prios {
+						rs := experiment.RunSpec{Combo: combo, Scheme: scheme, Limit: limit, Priorities: pr}
+						if got, want := p.cacheKey(rs), ev.CacheKey(rs); got != want {
+							t.Fatalf("fleet key %q, evaluator key %q", got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeedSweepSendsOneRequestPerSeed: a seed sweep given the fleet as
+// its remote sends each seed's suite as one POST, and renders what a
+// local sweep renders.
+func TestSeedSweepSendsOneRequestPerSeed(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+	registerWorker(t, c, startWorker(t, "w-a"))
+	cl, posts := countingCoordinator(t, c)
+	seeds := []int64{3, 11}
+	limit, dur := config.OffPackageVRLimit(), sim.Millisecond/2
+	local, err := experiment.RunSeedSweep(seeds, limit, dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := experiment.RunSeedSweepWith(experiment.NewRunner(2), cl, seeds, limit, dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := posts.Load(); n != int64(len(seeds)) {
+		t.Fatalf("%d seeds sent %d POSTs, want one each", len(seeds), n)
+	}
+	if got, want := fleet.Render(), local.Render(); got != want {
+		t.Fatalf("fleet sweep renders\n%s\nlocal sweep\n%s", got, want)
 	}
 }

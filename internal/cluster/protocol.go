@@ -78,6 +78,12 @@ func (p Params) Evaluator() *experiment.Evaluator {
 	return ev
 }
 
+// cacheKey is the evaluator cache key of rs under the params: what
+// p.Evaluator().CacheKey(rs) returns, without building the evaluator.
+func (p Params) cacheKey(rs experiment.RunSpec) string {
+	return experiment.RunKey(p.Seed, p.TargetDurNS, p.MaxDurFactor, p.FixedV, false, rs)
+}
+
 // Spec is the wire form of experiment.RunSpec: the combo travels by
 // name (benchmarks carry unexported builders), scheme and limit are
 // pure data and travel whole.
@@ -260,7 +266,7 @@ func (it Item) key(p Params) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return hashKey("spec|" + p.Evaluator().CacheKey(rs)), nil
+		return hashKey("spec|" + p.cacheKey(rs)), nil
 	case it.Scaling != nil && it.Spec == nil:
 		c := *it.Scaling
 		return hashKey(fmt.Sprintf("scaling|combo=%s|net=%+v|n=%d|period=%d|limit=%g|win=%d|dur=%d|floor=%d|lpt=%g|seed=%d",

@@ -44,24 +44,26 @@ func mustCombo(name, alias, cpuClass, gpuClass string) Combo {
 	return Combo{Name: name, Alias: alias, CPU: cpu, GPU: gpu}
 }
 
-// Suite returns the heterogeneous test suite of Table 3, in the order
-// the figures plot it.
-func Suite() []Combo {
-	return []Combo{
-		mustCombo("Burst-Burst", "", "Burst", "Burst"),
-		mustCombo("Burst-Low", "Burst-Const", "Burst", "Low"),
-		mustCombo("Const-Burst", "", "Const", "Burst"),
-		mustCombo("Hi-Hi", "", "Hi", "Hi"),
-		mustCombo("Hi-Low", "", "Hi", "Low"),
-		mustCombo("Low-Hi", "", "Low", "Hi"),
-		mustCombo("Low-Low", "", "Low", "Low"),
-		mustCombo("Mid-Mid", "", "Mid", "Mid"),
-	}
+// table3 is the heterogeneous test suite of Table 3, in the order the
+// figures plot it, built once.
+var table3 = []Combo{
+	mustCombo("Burst-Burst", "", "Burst", "Burst"),
+	mustCombo("Burst-Low", "Burst-Const", "Burst", "Low"),
+	mustCombo("Const-Burst", "", "Const", "Burst"),
+	mustCombo("Hi-Hi", "", "Hi", "Hi"),
+	mustCombo("Hi-Low", "", "Hi", "Low"),
+	mustCombo("Low-Hi", "", "Low", "Hi"),
+	mustCombo("Low-Low", "", "Low", "Low"),
+	mustCombo("Mid-Mid", "", "Mid", "Mid"),
 }
+
+// Suite returns the heterogeneous test suite of Table 3, in the order
+// the figures plot it. The slice is the caller's own.
+func Suite() []Combo { return append([]Combo(nil), table3...) }
 
 // ComboByName looks a combo up by its figure name or Table 3 alias.
 func ComboByName(name string) (Combo, error) {
-	for _, c := range Suite() {
+	for _, c := range table3 {
 		if strings.EqualFold(c.Name, name) || (c.Alias != "" && strings.EqualFold(c.Alias, name)) {
 			return c, nil
 		}

@@ -79,7 +79,7 @@ func (ev *Evaluator) RunEnergyAttribution(faultCombo Combo, limit config.PowerLi
 	}
 
 	// A derived evaluator with energy tracking on: same parameters,
-	// runner and fleet, but its own cache namespace (runKey folds
+	// runner and fleet, but its own cache namespace (CacheKey folds
 	// energy=1), so running this inside "-experiment all" can never
 	// cross-contaminate the other experiments' cached results.
 	evE := &Evaluator{

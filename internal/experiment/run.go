@@ -35,7 +35,7 @@ type RunSpec struct {
 
 // key identifies the spec itself. It deliberately excludes evaluator
 // state (seed, horizon, fixed voltage) — the evaluator folds those in
-// via runKey, so reconfiguring an evaluator mid-sequence can never serve
+// via CacheKey, so reconfiguring an evaluator mid-sequence can never serve
 // a result computed under the old parameters.
 func (s RunSpec) key() string {
 	k := fmt.Sprintf("%s|%s|%s", s.Combo.key(), s.Scheme.Kind, s.Limit.Name)
@@ -282,26 +282,29 @@ func (ev *Evaluator) ensureMapsLocked() {
 	}
 }
 
-// runKey is the full result-cache key: the spec plus every evaluator
+// RunKey is the full result-cache key: the spec plus every evaluator
 // parameter that changes what a run computes. Folding seed, horizon and
 // the baseline voltage in (rather than invalidating on mutation) makes
 // With*-style reconfiguration and concurrent sharing safe by
-// construction.
-func (ev *Evaluator) runKey(spec RunSpec) string {
+// construction. The evaluator's cache and the cluster's fleet cache
+// both key by it, so the two cannot drift apart.
+func RunKey(seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, trackEnergy bool, spec RunSpec) string {
 	key := fmt.Sprintf("seed=%d|dur=%d|maxf=%g|fv=%g|%s",
-		ev.Cfg.Seed, ev.TargetDur, ev.MaxDurFactor, ev.FixedV, spec.key())
-	if ev.TrackEnergy {
+		seed, targetDur, maxDurFactor, fixedV, spec.key())
+	if trackEnergy {
 		key += "|energy=1"
 	}
 	return key
 }
 
 // CacheKey exposes the result-cache key for spec under the evaluator's
-// current parameters. The cluster coordinator content-addresses its
-// fleet-wide cache with this exact key, so a spec simulated by any
+// current parameters (RunKey). The cluster coordinator content-addresses
+// its fleet-wide cache with the same key, so a spec simulated by any
 // worker is recognized again no matter which node — or which local
 // evaluator — asks next.
-func (ev *Evaluator) CacheKey(spec RunSpec) string { return ev.runKey(spec) }
+func (ev *Evaluator) CacheKey(spec RunSpec) string {
+	return RunKey(ev.Cfg.Seed, ev.TargetDur, ev.MaxDurFactor, ev.FixedV, ev.TrackEnergy, spec)
+}
 
 // Run executes (or returns the cached result of) one spec.
 func (ev *Evaluator) Run(spec RunSpec) (RunResult, error) {
@@ -344,7 +347,7 @@ type batchFlight struct {
 func (ev *Evaluator) runBatch(ctx context.Context, specs []RunSpec) ([]RunResult, error) {
 	keys := make([]string, len(specs))
 	for i, spec := range specs {
-		keys[i] = ev.runKey(spec)
+		keys[i] = ev.CacheKey(spec)
 	}
 	out := make([]RunResult, len(specs))
 	pending := make([]int, len(specs))

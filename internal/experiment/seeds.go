@@ -27,15 +27,16 @@ type SeedSweep struct {
 
 // RunSeedSweep executes the sweep sequentially at the given horizon.
 func RunSeedSweep(seeds []int64, limit config.PowerLimit, dur sim.Time) (*SeedSweep, error) {
-	return RunSeedSweepWith(nil, seeds, limit, dur)
+	return RunSeedSweepWith(nil, nil, seeds, limit, dur)
 }
 
 // RunSeedSweepWith executes the sweep with the per-seed loop —
 // embarrassingly parallel, one fresh evaluator per seed — fanned over
-// the runner (nil runs sequentially). Per-seed summaries land in
+// the runner (nil runs sequentially). With remote set, each seed's
+// suite goes to the fleet as one batch. Per-seed summaries land in
 // seed-index slots, so the rendered sweep is identical at any worker
-// count.
-func RunSeedSweepWith(r *Runner, seeds []int64, limit config.PowerLimit, dur sim.Time) (*SeedSweep, error) {
+// count, local or on a fleet.
+func RunSeedSweepWith(r *Runner, remote RemoteRunner, seeds []int64, limit config.PowerLimit, dur sim.Time) (*SeedSweep, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: no seeds")
 	}
@@ -52,21 +53,26 @@ func RunSeedSweepWith(r *Runner, seeds []int64, limit config.PowerLimit, dur sim
 	}
 	violated := make([]bool, len(seeds))
 	err = r.Tasks(context.Background(), len(seeds), func(ctx context.Context, i int) error {
-		// The inner suite loop stays sequential: nesting batches on the
-		// shared pool could exhaust it and deadlock, and one seed's runs
-		// already saturate a worker.
+		// The per-seed evaluator has no runner, so its batch runs
+		// sequentially when local: nesting batches on the shared pool
+		// could exhaust it and deadlock, and one seed's runs already
+		// saturate a worker.
 		ev := NewEvaluator().WithTargetDur(dur)
 		ev.Cfg.Seed = seeds[i]
+		ev.Remote = remote
+		specs := make([]RunSpec, 0, 2*len(table3))
+		for _, combo := range table3 {
+			specs = append(specs,
+				RunSpec{Combo: combo, Scheme: ev.FixedScheme(), Limit: limit},
+				RunSpec{Combo: combo, Scheme: hcapp, Limit: limit})
+		}
+		res, err := ev.RunSpecs(ctx, specs)
+		if err != nil {
+			return err
+		}
 		var fixedPPE, hcPPE, hcSp []float64
-		for _, combo := range Suite() {
-			base, err := ev.RunContext(ctx, RunSpec{Combo: combo, Scheme: ev.FixedScheme(), Limit: limit})
-			if err != nil {
-				return err
-			}
-			run, err := ev.RunContext(ctx, RunSpec{Combo: combo, Scheme: hcapp, Limit: limit})
-			if err != nil {
-				return err
-			}
+		for j := 0; j < len(res); j += 2 {
+			base, run := res[j], res[j+1]
 			fixedPPE = append(fixedPPE, base.PPE)
 			hcPPE = append(hcPPE, run.PPE)
 			_, sp := run.SpeedupOver(base)

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"hcapp/internal/sim"
 )
@@ -69,16 +70,12 @@ func (b Benchmark) Units(seed int64, nUnits int, fmax float64) []Unit {
 	if nUnits <= 0 {
 		panic(fmt.Sprintf("workload: %d units", nUnits))
 	}
-	// One generator, reseeded per stream: Rand.Seed leaves it exactly
-	// as a fresh rand.New(rand.NewSource(s)) would be, without
-	// allocating another 607-word source.
-	var rng *rand.Rand
+	// One generator, reseeded per stream. lagSource is math/rand's
+	// generator seeded lazily: a stream derives only the register words
+	// its draws read.
+	rng := rand.New(&lagSource{})
 	seeded := func(s int64) *rand.Rand {
-		if rng == nil {
-			rng = rand.New(rand.NewSource(s))
-		} else {
-			rng.Seed(s)
-		}
+		rng.Seed(s)
 		return rng
 	}
 	units := make([]Unit, nUnits)
@@ -129,10 +126,17 @@ func (b Benchmark) Key() string {
 	return "builtin/" + b.Name
 }
 
-// mixSeed derives a stable sub-seed from (seed, label, unit).
+// mixSeed derives a stable sub-seed from (seed, label, unit): the
+// FNV-1a hash of "seed|label|unit" in decimal.
 func mixSeed(seed int64, label string, unit int) int64 {
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], seed, 10)
+	b = append(b, '|')
+	b = append(b, label...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(unit), 10)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", seed, label, unit)
+	h.Write(b)
 	v := int64(h.Sum64())
 	if v == 0 {
 		v = 1

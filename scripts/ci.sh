@@ -179,6 +179,23 @@ done
 "$tmp/hcappsim" -experiment fig10 -dur 1 -workers 1 >"$tmp/solo-b.out"
 diff -u "$tmp/solo-a.out" "$tmp/fleet-a.out"
 diff -u "$tmp/solo-b.out" "$tmp/fleet-b.out"
+# The seed sweep sends each seed's suite to the fleet as one batch: its
+# output must match the standalone sweep, and the coordinator must have
+# executed its items (the cluster item counter grows during the sweep).
+cluster_items() {
+	curl -fsS http://127.0.0.1:18080/metrics |
+		awk '$1 == "hcapp_cluster_items_total" {print $2}'
+}
+items_before="$(cluster_items)"
+"$tmp/hcappsim" -experiment seeds -dur 1 -workers 2 \
+	-coordinator http://127.0.0.1:18080 -tenant ci-seeds >"$tmp/fleet-seeds.out"
+diff -u "$tmp/seeds-strided.out" "$tmp/fleet-seeds.out"
+items_after="$(cluster_items)"
+if [ -z "$items_after" ] || ! awk -v a="$items_after" -v b="${items_before:-0}" 'BEGIN {exit !(a > 0 && a > b)}'; then
+	echo "seed sweep through the coordinator executed no cluster items ($items_before -> $items_after)"
+	exit 1
+fi
+echo "seed sweep through the fleet identical to standalone ($items_before -> $items_after cluster items)"
 # A fleet reply carries the energy ledger only when the request asks for
 # it; the simulated metrics are the same either way.
 run_body='{"params":{"seed":42,"target_dur_ns":1000000,"max_dur_factor":3,"fixed_v":0.95},"items":[{"spec":{"combo":"Hi-Hi","scheme":{"Kind":"hcapp","ControlPeriod":1000},"limit":{"Name":"package-pin","Watts":100,"Window":20000}}}]'
@@ -428,6 +445,9 @@ trap 'rm -rf "$tmp"' EXIT
 echo "== fuzz (short) =="
 go test -run NoSuchTest -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry
 go test -run NoSuchTest -fuzz FuzzClusterProtocol -fuzztime 5s ./internal/cluster
+# Trace streams draw from a lazily seeded copy of math/rand's source; it
+# must match math/rand draw for draw across seeds, reseeds and wraps.
+go test -run NoSuchTest -fuzz FuzzLagSource -fuzztime 5s ./internal/workload
 
 # The chiplet's per-voltage table and its units' operating points must
 # be exact: fuzzed rails that revisit their voltages, per-unit ratios,
