@@ -16,6 +16,7 @@ import (
 
 	"hcapp/internal/config"
 	"hcapp/internal/experiment"
+	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 	"hcapp/internal/tracing"
 )
@@ -126,8 +127,8 @@ func TestRemoteBatchReportsLowestIndexFailure(t *testing.T) {
 
 // TestRemoteBatchCancelledMidBatch: cancelling an evaluator's batch
 // while its fleet request is on a worker returns context.Canceled and
-// leaves no fleet flight and no result behind, on the coordinator or in
-// the evaluator; the same batch then runs to the local results.
+// leaves no result behind on the coordinator; the same batch then runs
+// to the local results.
 func TestRemoteBatchCancelledMidBatch(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{HedgeAfter: -1, Logf: t.Logf})
 	w := NewWorker(WorkerConfig{ID: "w-a", Workers: 2, Logf: t.Logf})
@@ -180,11 +181,8 @@ func TestRemoteBatchCancelledMidBatch(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch: err = %v, want context.Canceled", err)
 	}
-	c.mu.Lock()
-	flights := len(c.inflight)
-	c.mu.Unlock()
-	if flights != 0 || c.CacheLen() != 0 {
-		t.Fatalf("after cancellation the coordinator holds %d flights and %d results", flights, c.CacheLen())
+	if n := c.CacheLen(); n != 0 {
+		t.Fatalf("after cancellation the coordinator holds %d results", n)
 	}
 
 	hold.Store(false)
@@ -358,6 +356,36 @@ func TestWorkerReusesEvaluatorPerParams(t *testing.T) {
 	q.Seed++
 	if other := w.evaluator(q); other == ev || other.Cfg.Seed != q.Seed {
 		t.Fatal("new Params reused the old evaluator")
+	}
+}
+
+// stepCounter is a step observer that counts the engine steps it sees.
+type stepCounter struct{ steps atomic.Int64 }
+
+func (s *stepCounter) ObserveSteps(_, _ sim.Time, n int64, _ float64, _ []sched.DomainSample) {
+	s.steps.Add(n)
+}
+
+// TestWorkerKeepsNoResults: the same item sent through RunSlice twice
+// under equal Params simulates twice. The coordinator's fleet cache is
+// the only cache on the fleet path; the worker's evaluator keeps trace
+// sets, not results.
+func TestWorkerKeepsNoResults(t *testing.T) {
+	w := NewWorker(WorkerConfig{ID: "w-a", Workers: 1, Logf: t.Logf})
+	p := testParams()
+	obs := &stepCounter{}
+	w.evaluator(p).Observer = obs
+	items := testItems(t, 1)
+	var steps []int64
+	for run := 0; run < 2; run++ {
+		resp, err := w.RunSlice(context.Background(), p, items)
+		if err != nil || resp.Results[0].Error != "" {
+			t.Fatalf("run %d: %v %+v", run, err, resp)
+		}
+		steps = append(steps, obs.steps.Load())
+	}
+	if steps[0] == 0 || steps[1] != 2*steps[0] {
+		t.Fatalf("engine steps after each run %v, want the second run to simulate as many again", steps)
 	}
 }
 

@@ -37,9 +37,6 @@ var (
 	ErrItemFailed = errors.New("cluster: item failed")
 )
 
-// maxCacheEntries bounds the fleet result cache, oldest out first.
-const maxCacheEntries = 4096
-
 // CoordinatorConfig sizes the fleet head.
 type CoordinatorConfig struct {
 	// HeartbeatEvery is the cadence advertised to workers (default 2 s).
@@ -120,11 +117,12 @@ type Coordinator struct {
 	sem     *prioSem
 	now     func() time.Time
 
-	mu         sync.Mutex
-	workers    map[string]*workerState
-	cache      map[string]ItemResult
-	cacheOrder []string
-	inflight   map[string]*flight
+	// cache is the fleet-wide single-flight result cache, keyed by
+	// Item.key.
+	cache experiment.ResultCache[ItemResult]
+
+	mu      sync.Mutex
+	workers map[string]*workerState
 }
 
 type workerState struct {
@@ -143,25 +141,14 @@ type workerState struct {
 	slices int
 }
 
-// flight is one in-progress batch item; fleet-wide single-flight means
-// every concurrent batch wanting the same key blocks here while exactly
-// one worker simulates it.
-type flight struct {
-	done chan struct{}
-	res  ItemResult
-	err  error
-}
-
 // NewCoordinator builds a coordinator with no workers yet.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:      cfg,
-		now:      time.Now,
-		workers:  make(map[string]*workerState),
-		cache:    make(map[string]ItemResult),
-		inflight: make(map[string]*flight),
-		sem:      newPrioSem(0),
+		cfg:     cfg,
+		now:     time.Now,
+		workers: make(map[string]*workerState),
+		sem:     newPrioSem(0),
 	}
 	c.limiter = NewLimiter(cfg.TenantRate, cfg.TenantBurst, func() time.Time { return c.now() })
 	return c
@@ -344,12 +331,10 @@ func (c *Coordinator) RunRemote(ctx context.Context, seed int64, targetDur sim.T
 }
 
 // leaderItem is one item this batch must actually get simulated (cache
-// miss, no other flight in progress).
+// miss, no other flight in progress); idx is its place in the batch.
 type leaderItem struct {
 	idx   int
-	key   string
 	item  Item
-	f     *flight
 	trace *itemTrace
 }
 
@@ -449,80 +434,39 @@ func (c *Coordinator) Execute(ctx context.Context, req RunRequest) (*RunResponse
 		return itemTraces[i]
 	}
 
-	resp := &RunResponse{Results: make([]ItemResult, len(req.Items))}
-	type idxErr struct {
-		idx int
-		err error
-	}
-	var firstErr *idxErr
-	record := func(i int, err error) {
-		if firstErr == nil || i < firstErr.idx {
-			firstErr = &idxErr{i, err}
-		}
-	}
-
-	pending := make([]int, len(req.Items))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		var leaders []leaderItem
-		var waiters []leaderItem
-		hitsBefore := resp.CacheHits
-		c.mu.Lock()
-		for _, i := range pending {
-			key := keys[i]
-			if r, ok := c.cache[key]; ok {
-				resp.Results[i] = r
-				resp.CacheHits++
-				itemTraceAt(i).finish("cache-hit")
-				continue
+	hits := 0
+	note := func(i int, ev experiment.CacheEvent, err error) {
+		it := itemTraceAt(i)
+		switch {
+		case ev == experiment.CacheHit:
+			hits++
+			c.metrics.addCacheHits(1)
+			it.finish("cache-hit")
+		case ev == experiment.CacheCoalesced:
+			if it != nil {
+				it.span.SetAttr("coalesced", "true")
 			}
-			if f, ok := c.inflight[key]; ok {
-				if it := itemTraceAt(i); it != nil {
-					it.span.SetAttr("coalesced", "true")
-				}
-				waiters = append(waiters, leaderItem{idx: i, key: key, f: f, trace: itemTraceAt(i)})
-				continue
-			}
-			f := &flight{done: make(chan struct{})}
-			c.inflight[key] = f
-			leaders = append(leaders, leaderItem{idx: i, key: key, item: req.Items[i], f: f, trace: itemTraceAt(i)})
-		}
-		c.mu.Unlock()
-		c.metrics.addCacheHits(resp.CacheHits - hitsBefore)
-
-		if len(leaders) > 0 {
-			c.dispatch(ctx, req.Params, interactive, leaders)
-		}
-
-		pending = pending[:0]
-		for _, li := range append(leaders, waiters...) {
-			select {
-			case <-li.f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			switch {
-			case li.f.err == nil:
-				resp.Results[li.idx] = li.f.res
-				li.trace.finish("ok")
-			case errors.Is(li.f.err, context.Canceled) || errors.Is(li.f.err, context.DeadlineExceeded):
-				// Another batch's cancellation, not a verdict on the
-				// item; retry unless our own context died too.
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				pending = append(pending, li.idx)
-			default:
-				li.trace.finish("error")
-				record(li.idx, li.f.err)
-			}
-		}
-		if firstErr != nil {
-			return nil, fmt.Errorf("item %d: %w", firstErr.idx, firstErr.err)
+		case err == nil:
+			it.finish("ok")
+		default:
+			it.finish("error")
 		}
 	}
+	results, failed, err := c.cache.Resolve(ctx, keys, note, func(idx []int, settle experiment.Settle[ItemResult]) error {
+		leaders := make([]leaderItem, len(idx))
+		for k, i := range idx {
+			leaders[k] = leaderItem{idx: i, item: req.Items[i], trace: itemTraceAt(i)}
+		}
+		c.dispatch(ctx, req.Params, interactive, leaders, settle)
+		return nil
+	})
+	if failed >= 0 {
+		err = fmt.Errorf("item %d: %w", failed, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	resp := &RunResponse{Results: results, CacheHits: hits}
 	if !req.Energy {
 		for i, ir := range resp.Results {
 			resp.Results[i] = ir.withoutEnergy()
@@ -531,18 +475,23 @@ func (c *Coordinator) Execute(ctx context.Context, req RunRequest) (*RunResponse
 	return resp, nil
 }
 
-// dispatch shards the leaders across live workers and resolves every
-// flight. Items are striped round-robin over the live set, least loaded
+// dispatch shards the leaders across live workers and settles every
+// leader's flight. Items are striped round-robin over the live set, least loaded
 // worker first (liveLocked);
 // a slice whose worker fails is re-striped over the survivors in the
 // next round — idempotent, because each item is a pure function of its
 // content hash, and deterministic, because results land in index slots.
-func (c *Coordinator) dispatch(ctx context.Context, params Params, interactive bool, leaders []leaderItem) {
+func (c *Coordinator) dispatch(ctx context.Context, params Params, interactive bool, leaders []leaderItem, settle experiment.Settle[ItemResult]) {
+	fail := func(lis []leaderItem, err error) {
+		for _, li := range lis {
+			settle(li.idx, ItemResult{}, err, false)
+		}
+	}
 	remaining := leaders
 	var droughtStart time.Time
 	for len(remaining) > 0 {
 		if err := ctx.Err(); err != nil {
-			c.resolveAll(remaining, ItemResult{}, err)
+			fail(remaining, err)
 			return
 		}
 		c.mu.Lock()
@@ -573,14 +522,14 @@ func (c *Coordinator) dispatch(ctx context.Context, params Params, interactive b
 				if time.Since(droughtStart) < c.cfg.NoWorkersPatience {
 					select {
 					case <-ctx.Done():
-						c.resolveAll(remaining, ItemResult{}, ctx.Err())
+						fail(remaining, ctx.Err())
 						return
 					case <-time.After(150 * time.Millisecond):
 					}
 					continue
 				}
 			}
-			c.resolveAll(remaining, ItemResult{}, ErrNoWorkers)
+			fail(remaining, ErrNoWorkers)
 			return
 		}
 		droughtStart = time.Time{}
@@ -624,9 +573,9 @@ func (c *Coordinator) dispatch(ctx context.Context, params Params, interactive b
 				for k, li := range slice {
 					ir := results[k]
 					if ir.Error != "" {
-						c.resolve(li, ItemResult{}, fmt.Errorf("%w: %s", ErrItemFailed, ir.Error))
+						settle(li.idx, ItemResult{}, fmt.Errorf("%w: %s", ErrItemFailed, ir.Error), false)
 					} else {
-						c.resolve(li, ir, nil)
+						settle(li.idx, ir, nil, false)
 					}
 				}
 			}()
@@ -886,38 +835,9 @@ func (c *Coordinator) postSlice(ctx context.Context, w RegisterRequest, params P
 	return &resp, nil
 }
 
-// resolve finishes one flight: successful results enter the fleet cache
-// before waiters wake, so a spec simulated by any worker is never
-// simulated again.
-func (c *Coordinator) resolve(li leaderItem, res ItemResult, err error) {
-	c.mu.Lock()
-	li.f.res, li.f.err = res, err
-	delete(c.inflight, li.key)
-	if err == nil {
-		if _, ok := c.cache[li.key]; !ok {
-			c.cache[li.key] = res
-			c.cacheOrder = append(c.cacheOrder, li.key)
-			for len(c.cacheOrder) > maxCacheEntries {
-				delete(c.cache, c.cacheOrder[0])
-				c.cacheOrder = c.cacheOrder[1:]
-			}
-		}
-	}
-	c.mu.Unlock()
-	close(li.f.done)
-}
-
-func (c *Coordinator) resolveAll(lis []leaderItem, res ItemResult, err error) {
-	for _, li := range lis {
-		c.resolve(li, res, err)
-	}
-}
-
 // CacheLen reports fleet-cache occupancy (tests, introspection).
 func (c *Coordinator) CacheLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.cache)
+	return c.cache.Len()
 }
 
 // Handler mounts the coordinator's HTTP surface:

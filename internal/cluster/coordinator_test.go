@@ -500,39 +500,6 @@ func TestCoordinatorIsARemoteRunner(t *testing.T) {
 	checkRemoteRunner(t, c)
 }
 
-// TestFleetCacheEvictsOldestFirst: the fleet cache keeps the
-// maxCacheEntries most recently resolved results, so one more evicts
-// the oldest, and re-resolving a cached key does not refresh it.
-func TestFleetCacheEvictsOldestFirst(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
-	resolve := func(key string) {
-		f := &flight{done: make(chan struct{})}
-		c.mu.Lock()
-		c.inflight[key] = f
-		c.mu.Unlock()
-		c.resolve(leaderItem{key: key, f: f}, ItemResult{}, nil)
-	}
-	key := func(i int) string { return fmt.Sprintf("k%d", i) }
-	for i := 0; i < maxCacheEntries; i++ {
-		resolve(key(i))
-	}
-	resolve(key(0)) // already cached: keeps its place at the front
-	resolve(key(maxCacheEntries))
-	if n := c.CacheLen(); n != maxCacheEntries {
-		t.Fatalf("cache holds %d entries, want %d", n, maxCacheEntries)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, want := range map[int]bool{0: false, 1: true, maxCacheEntries: true} {
-		if _, ok := c.cache[key(i)]; ok != want {
-			t.Fatalf("cache has %s: %v, want %v", key(i), ok, want)
-		}
-	}
-	if len(c.cacheOrder) != maxCacheEntries || len(c.inflight) != 0 {
-		t.Fatalf("cache order %d entries, %d flights left", len(c.cacheOrder), len(c.inflight))
-	}
-}
-
 // countingWorker boots a real worker whose handler counts the slices it
 // is sent.
 func countingWorker(t *testing.T, c *Coordinator, id string) *atomic.Int64 {

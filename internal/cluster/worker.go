@@ -68,7 +68,9 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 // slice on an evaluator built from the wire Params — identical to the
 // evaluator a standalone run would use, which is what makes fleet output
 // byte-identical to single-node output. Consecutive slices under the
-// same Params share that evaluator.
+// same Params share that evaluator. A worker keeps no results: items
+// run through Evaluator.Simulate, and the coordinator's fleet cache is
+// the only cache on the fleet path.
 type Worker struct {
 	cfg    WorkerConfig
 	runner *experiment.Runner
@@ -79,10 +81,8 @@ type Worker struct {
 	// last is the evaluator of the latest slice and the Params it was
 	// built from. A slice under the same Params reuses it, and with it
 	// the trace sets its builds generated: a client's figure batches
-	// arrive as one slice per figure, all under one seed. Its result
-	// cache comes along (answering a hedge's duplicate item), holding
-	// one Params' results at most: a slice under other Params replaces
-	// the evaluator.
+	// arrive as one slice per figure, all under one seed. A slice under
+	// other Params replaces the evaluator, and its trace sets with it.
 	lastMu     sync.Mutex
 	lastParams Params
 	last       *experiment.Evaluator
@@ -301,9 +301,6 @@ func (w *Worker) evaluator(params Params) *experiment.Evaluator {
 	if w.last != nil && w.lastParams == params {
 		return w.last
 	}
-	// The evaluator stays runner-less: items fan out through the pool
-	// in RunSlice, and nesting RunSpecs batches inside pool tasks would
-	// deadlock the shared runner.
 	ev := params.Evaluator()
 	// Workers always carry the energy ledger: it is passive (identical
 	// simulated metrics), and it makes every fleet result — and every
@@ -336,7 +333,7 @@ func (w *Worker) runItem(ctx context.Context, ev *experiment.Evaluator, it Item,
 		if err != nil {
 			return nil, 0, err
 		}
-		res, err := ev.RunContext(ctx, spec)
+		res, err := ev.Simulate(ctx, spec)
 		if err != nil {
 			return nil, 0, err
 		}

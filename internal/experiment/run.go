@@ -2,11 +2,9 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"hcapp/internal/config"
 	"hcapp/internal/energy"
@@ -181,7 +179,8 @@ type RemoteRunner interface {
 // Evaluator runs and caches simulations for one system configuration.
 // It is safe for concurrent use: the result and trace-set caches are
 // single-flight, so overlapping requests for the same key simulate (or
-// generate) once and share the result.
+// generate) once and share the result. Simulate bypasses the result
+// cache.
 type Evaluator struct {
 	Cfg config.SystemConfig
 	// TargetDur sizes the work pools (fixed-voltage run length).
@@ -194,7 +193,7 @@ type Evaluator struct {
 	// system BuildSized assembles (hcapp-serve live metrics and trace
 	// streaming), strided steps included (sched.StepObserver). Cached
 	// results replay no steps, so a caller that needs the full stream
-	// should use a fresh evaluator per run, as the job server does.
+	// runs through Simulate, as the job server does.
 	Observer sched.StepObserver
 	// Remote, when non-nil, executes uncached runs on a remote fleet
 	// instead of simulating locally: RunSpecs sends every spec of a
@@ -213,9 +212,8 @@ type Evaluator struct {
 	// runner, when non-nil, fans RunSpecs batches across a worker pool.
 	runner *Runner
 
-	mu          sync.Mutex
-	cache       map[string]RunResult
-	runInflight map[string]*runFlight
+	// results holds the evaluator's run results by CacheKey.
+	results ResultCache[RunResult]
 
 	// traces holds every chiplet trace set the evaluator's builds and
 	// sizings have used, for the evaluator's lifetime: a (benchmark,
@@ -231,18 +229,6 @@ type Evaluator struct {
 	runProbe func(key string)
 }
 
-// runFlight is one in-progress uncached run; waiters block on done.
-type runFlight struct {
-	done chan struct{}
-	res  RunResult
-	err  error
-	// retry tells waiters that err is no verdict on their spec: the
-	// leader was cancelled, or its batch of several specs failed on
-	// whichever spec err names. A waiter retries and, if its own context
-	// is live, leads the spec itself.
-	retry bool
-}
-
 // NewEvaluator returns an evaluator over the default target system.
 func NewEvaluator() *Evaluator {
 	return &Evaluator{
@@ -250,8 +236,6 @@ func NewEvaluator() *Evaluator {
 		TargetDur:    DefaultTargetDuration,
 		MaxDurFactor: DefaultMaxDurFactor,
 		FixedV:       DefaultFixedV,
-		cache:        make(map[string]RunResult),
-		runInflight:  make(map[string]*runFlight),
 	}
 }
 
@@ -269,17 +253,6 @@ func (ev *Evaluator) WithTargetDur(d sim.Time) *Evaluator {
 func (ev *Evaluator) WithRunner(r *Runner) *Evaluator {
 	ev.runner = r
 	return ev
-}
-
-// ensureMapsLocked lazily initializes the cache maps for evaluators
-// built as zero values. Callers hold ev.mu.
-func (ev *Evaluator) ensureMapsLocked() {
-	if ev.cache == nil {
-		ev.cache = make(map[string]RunResult)
-	}
-	if ev.runInflight == nil {
-		ev.runInflight = make(map[string]*runFlight)
-	}
 }
 
 // RunKey is the full result-cache key: the spec plus every evaluator
@@ -316,137 +289,59 @@ func (ev *Evaluator) Run(spec RunSpec) (RunResult, error) {
 // steps) and returns ctx.Err(). Cancelled runs are never cached. It is
 // a batch of one (runBatch).
 func (ev *Evaluator) RunContext(ctx context.Context, spec RunSpec) (RunResult, error) {
-	res, err := ev.runBatch(ctx, []RunSpec{spec})
+	return one(ev.runBatch(ctx, []RunSpec{spec}))
+}
+
+// one unwraps the result of a batch of one.
+func one(res []RunResult, err error) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
 	return res[0], nil
 }
 
-// batchFlight ties spec idx of a batch to the flight that resolves it:
-// one the caller leads, or one it waits on.
-type batchFlight struct {
-	idx int
-	f   *runFlight
-}
-
 // runBatch returns specs' results, index-aligned, through the result
-// cache. Specs neither cached nor in flight are registered as this
-// caller's flights and simulated together (runUncached); the rest wait
-// on the flights that other callers, or earlier duplicates in the same
-// batch, lead. Results enter the cache in index order.
-//
-// Concurrent callers requesting the same key are single-flighted: one
-// leader simulates, the rest wait and share the result. A waiter whose
-// leader was cancelled, or whose leader's multi-spec batch failed,
-// retries (its own context may still be live); a deterministic error of
-// a batch of one — a bad spec or config — is shared. A failure of the
-// caller's own simulation is reported as runUncached returns it (a
-// Remote reports its lowest-index failure); otherwise the lowest-index
-// failure among the flights it waited on is.
+// cache: the specs it leads are simulated together (runUncached) and
+// enter the cache in index order. Their failure is returned as is (a
+// Remote reports its lowest-index one) and, when they were several,
+// marks their flights for retry: the error may be another spec's. A
+// failed batch of one (a bad spec or config) is shared with waiters.
 func (ev *Evaluator) runBatch(ctx context.Context, specs []RunSpec) ([]RunResult, error) {
 	keys := make([]string, len(specs))
 	for i, spec := range specs {
 		keys[i] = ev.CacheKey(spec)
 	}
-	out := make([]RunResult, len(specs))
-	pending := make([]int, len(specs))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		var leads, waits []batchFlight
-		ev.mu.Lock()
-		ev.ensureMapsLocked()
-		for _, i := range pending {
-			if r, ok := ev.cache[keys[i]]; ok {
-				out[i] = r
-			} else if f, ok := ev.runInflight[keys[i]]; ok {
-				waits = append(waits, batchFlight{i, f})
-			} else if err := ctx.Err(); err != nil {
-				ev.mu.Unlock()
-				ev.settle(leads, keys, nil, err)
-				return nil, err
-			} else {
-				f := &runFlight{done: make(chan struct{})}
-				ev.runInflight[keys[i]] = f
-				leads = append(leads, batchFlight{i, f})
-			}
+	out, _, err := ev.results.Resolve(ctx, keys, nil, func(idx []int, settle Settle[RunResult]) error {
+		lead := make([]RunSpec, len(idx))
+		for k, i := range idx {
+			lead[k] = specs[i]
 		}
-		ev.mu.Unlock()
-
-		if len(leads) > 0 {
-			lspecs := make([]RunSpec, len(leads))
-			lkeys := make([]string, len(leads))
-			for k, l := range leads {
-				lspecs[k], lkeys[k] = specs[l.idx], keys[l.idx]
-			}
-			res, err := ev.runUncached(ctx, lspecs, lkeys)
-			ev.settle(leads, keys, res, err)
+		res, err := ev.runUncached(ctx, lead)
+		for k, i := range idx {
 			if err != nil {
-				return nil, err
-			}
-			for k, l := range leads {
-				out[l.idx] = res[k]
-			}
-		}
-
-		pending = pending[:0]
-		var firstErr error
-		for _, w := range waits {
-			select {
-			case <-w.f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			switch {
-			case w.f.err == nil:
-				out[w.idx] = w.f.res
-			case w.f.retry:
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				pending = append(pending, w.idx)
-			case firstErr == nil:
-				// waits is in index order, so the first failure is the
-				// lowest-index one.
-				firstErr = w.f.err
+				settle(i, RunResult{}, err, len(idx) > 1)
+			} else {
+				settle(i, res[k], nil, false)
 			}
 		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	return out, nil
+		return err
+	})
+	return out, err
 }
 
-// settle resolves the caller's flights: on success each result enters
-// the cache in index order before its waiters wake; on failure every
-// flight carries err, marked for retry when it is a cancellation or
-// when the batch held other specs the error may belong to.
-func (ev *Evaluator) settle(leads []batchFlight, keys []string, res []RunResult, err error) {
-	retry := len(leads) > 1 || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	ev.mu.Lock()
-	for k, l := range leads {
-		if err == nil {
-			l.f.res = res[k]
-			ev.cache[keys[l.idx]] = res[k]
-		} else {
-			l.f.err, l.f.retry = err, retry
-		}
-		delete(ev.runInflight, keys[l.idx])
-	}
-	ev.mu.Unlock()
-	for _, l := range leads {
-		close(l.f.done)
-	}
+// Simulate runs spec with no result cache: on the Remote fleet when one
+// is set, else locally. A fleet worker and a served job run here, so no
+// result outlives their item or job.
+func (ev *Evaluator) Simulate(ctx context.Context, spec RunSpec) (RunResult, error) {
+	return one(ev.runUncached(ctx, []RunSpec{spec}))
 }
 
 // runUncached simulates specs with no cache involvement: on the Remote
 // fleet as one batch when one is set, else locally. A local batch is
-// always a single spec: only RunContext reaches here without a Remote,
-// and RunSpecs fans local work over the runner one RunContext a spec.
-func (ev *Evaluator) runUncached(ctx context.Context, specs []RunSpec, keys []string) ([]RunResult, error) {
+// always a single spec: only RunContext and Simulate reach here without
+// a Remote, and RunSpecs fans local work over the runner one RunContext
+// a spec.
+func (ev *Evaluator) runUncached(ctx context.Context, specs []RunSpec) ([]RunResult, error) {
 	if ev.Remote != nil {
 		res, err := ev.Remote.RunRemote(ctx, ev.Cfg.Seed, ev.TargetDur, ev.MaxDurFactor, ev.FixedV, ev.TrackEnergy, specs)
 		if err == nil && len(res) != len(specs) {
@@ -455,7 +350,7 @@ func (ev *Evaluator) runUncached(ctx context.Context, specs []RunSpec, keys []st
 		return res, err
 	}
 	if ev.runProbe != nil {
-		ev.runProbe(keys[0])
+		ev.runProbe(ev.CacheKey(specs[0]))
 	}
 	res, err := ev.runVariant(ctx, specs[0], nil)
 	if err != nil {
@@ -565,12 +460,21 @@ func hcappSpec(combo Combo, limit config.PowerLimit) RunSpec {
 // RunSpecs executes a batch of specs and returns results in spec
 // order: with Remote set, as one fleet request (runBatch); otherwise
 // across the evaluator's runner when one is attached, sequentially when
-// not. One failing run cancels the rest of the batch.
+// not, one RunContext a spec. One failing run cancels the rest of the
+// batch.
 func (ev *Evaluator) RunSpecs(ctx context.Context, specs []RunSpec) ([]RunResult, error) {
 	if ev.Remote != nil {
 		return ev.runBatch(ctx, specs)
 	}
-	return ev.runner.RunSpecs(ctx, ev, specs)
+	out := make([]RunResult, len(specs))
+	err := ev.runner.Tasks(ctx, len(specs), func(ctx context.Context, i int) (err error) {
+		out[i], err = ev.RunContext(ctx, specs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // RunSuite runs every Table 3 combo under one scheme and limit.

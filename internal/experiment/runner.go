@@ -52,13 +52,15 @@ func (r *Runner) Workers() int {
 // Tasks runs n indexed tasks over the pool and waits for them all. The
 // first task error (lowest index among deterministic failures) cancels
 // the batch context, so in-flight simulations stop cooperatively and
-// unstarted tasks never run. A nil runner or a single-worker pool runs
-// the tasks sequentially in index order.
+// unstarted tasks never run. Tasks start in index order, each once it
+// holds one of the pool's slots, so a pool of width w runs at most w
+// tasks at a time across every batch it is given: a width-1 pool runs
+// one. A nil runner runs the tasks sequentially on the caller.
 func (r *Runner) Tasks(ctx context.Context, n int, task func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if r == nil || r.workers == 1 {
+	if r == nil {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -95,16 +97,16 @@ func (r *Runner) Tasks(ctx context.Context, n int, task func(ctx context.Context
 		mu.Unlock()
 		cancel()
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		select {
+		case r.sem <- struct{}{}:
+		case <-ctx.Done():
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			select {
-			case r.sem <- struct{}{}:
-				defer func() { <-r.sem }()
-			case <-ctx.Done():
-				return
-			}
+			defer func() { <-r.sem }()
 			if ctx.Err() != nil {
 				return
 			}
@@ -121,25 +123,6 @@ func (r *Runner) Tasks(ctx context.Context, n int, task func(ctx context.Context
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// RunSpecs executes specs over the pool against one evaluator and
-// returns results in spec order. Overlapping specs across concurrent
-// batches dedupe through the evaluator's single-flight cache.
-func (r *Runner) RunSpecs(ctx context.Context, ev *Evaluator, specs []RunSpec) ([]RunResult, error) {
-	out := make([]RunResult, len(specs))
-	err := r.Tasks(ctx, len(specs), func(ctx context.Context, i int) error {
-		res, err := ev.RunContext(ctx, specs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // traceTask opens the item[i] span for one pool task when — and only

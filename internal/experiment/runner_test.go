@@ -245,6 +245,43 @@ func TestRunnerSequentialFallback(t *testing.T) {
 	}
 }
 
+// TestRunnerWidthOneAcrossBatches: a width-1 pool runs one task at a
+// time even across concurrent batches, as a "-workers 1" fleet worker
+// running several slices at once must. Each task holds its slot until a
+// task of the other batch is running too, or for 50 ms.
+func TestRunnerWidthOneAcrossBatches(t *testing.T) {
+	r := NewRunner(1)
+	var running, peak atomic.Int32
+	task := func(ctx context.Context, i int) error {
+		n := running.Add(1)
+		defer running.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		for deadline := time.Now().Add(50 * time.Millisecond); running.Load() < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for b := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[b] = r.Tasks(context.Background(), 2, task)
+		}()
+	}
+	wg.Wait()
+	for b, err := range errs {
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d tasks ran at once on a width-1 pool, want 1", p)
+	}
+}
+
 // TestEvaluatorReconfigureMidSequence is the regression test for the
 // stale-cache bug: WithTargetDur and Cfg.Seed changes must yield fresh
 // simulations for a spec already in the cache, while unchanged

@@ -261,9 +261,9 @@ func (mgr *Manager) runJob(j *Job) {
 		ctx = tracing.ContextWith(ctx, mgr.tracer, run.Context())
 	}
 
-	// One evaluator per job: it carries the run cache we do not want
-	// shared and isolates all mutable simulation state. It is not free:
-	// a local build first generates every unit's workload trace, most of
+	// One evaluator per job isolates all mutable simulation state; it
+	// keeps no result (Simulate). It is not free: a local build first
+	// generates every unit's workload trace, most of
 	// the time a 0.2 ms job spends building. It keeps those traces only
 	// for this job, so the server's memory does not grow with the seeds
 	// it has served. In coordinator role the fleet runs the engine
@@ -370,7 +370,7 @@ func (mgr *Manager) simulate(ctx context.Context, ev *experiment.Evaluator, spec
 	var res experiment.RunResult
 	_, err := experiment.RunContained(mgr.logf, "hcapp-serve: job "+jobID, "local", open, func() (*experiment.RunResult, sim.Time, error) {
 		var err error
-		res, err = ev.RunContext(ctx, spec)
+		res, err = ev.Simulate(ctx, spec)
 		return &res, ev.Cfg.TimeStep, err
 	})
 	attempt.SetAttr("outcome", tracing.Outcome(err)).End()

@@ -166,9 +166,12 @@ wait $client_b
 # stripes it over the live workers least loaded first: both workers must
 # have run items by now. A worker's own engine-stage histogram counts
 # the items it executed.
+worker_engines() {
+	curl -fsS "http://127.0.0.1:$1/metrics" |
+		awk '$1 == "hcapp_stage_duration_seconds_count{stage=\"engine\"}" {print $2}'
+}
 for port in 18081 18082; do
-	engines="$(curl -fsS "http://127.0.0.1:$port/metrics" |
-		awk '$1 == "hcapp_stage_duration_seconds_count{stage=\"engine\"}" {print $2}')"
+	engines="$(worker_engines $port)"
 	if [ -z "$engines" ] || [ "$engines" = 0 ]; then
 		echo "worker on :$port executed no item during the cold fleet batches"
 		exit 1
@@ -179,6 +182,18 @@ done
 "$tmp/hcappsim" -experiment fig10 -dur 1 -workers 1 >"$tmp/solo-b.out"
 diff -u "$tmp/solo-a.out" "$tmp/fleet-a.out"
 diff -u "$tmp/solo-b.out" "$tmp/fleet-b.out"
+# A hot repeat is answered by the coordinator's cache alone: workers keep
+# no results, so an item that reached one would move its engine count.
+engines_before="$(worker_engines 18081) $(worker_engines 18082)"
+"$tmp/hcappsim" -experiment fig4,fig5,energy -dur 1 -workers 2 \
+	-coordinator http://127.0.0.1:18080 -tenant ci-a >"$tmp/fleet-hot.out"
+diff -u "$tmp/solo-a.out" "$tmp/fleet-hot.out"
+engines_after="$(worker_engines 18081) $(worker_engines 18082)"
+if [ "$engines_before" != "$engines_after" ]; then
+	echo "hot repeat reached the workers: engine counts $engines_before -> $engines_after"
+	exit 1
+fi
+echo "hot repeat identical and served by the coordinator cache (worker engine counts $engines_after)"
 # The seed sweep sends each seed's suite to the fleet as one batch: its
 # output must match the standalone sweep, and the coordinator must have
 # executed its items (the cluster item counter grows during the sweep).
