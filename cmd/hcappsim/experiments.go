@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"hcapp/internal/config"
 	"hcapp/internal/experiment"
@@ -60,9 +62,15 @@ func parseExperimentIDs(exp string) ([]string, error) {
 	return ids, nil
 }
 
-// runExperiments is the default mode: it runs each -experiment id in
-// order, a blank line after each.
-func runExperiments(o *options) error {
+// runExperiments is the default mode: it starts every -experiment id at
+// once over one evaluator and runner, and prints their outputs to
+// stdout in id order, a blank line after each (printInOrder). Ids that
+// share runs share them through the evaluator's single-flight cache,
+// and the runner bounds how many simulations run at a time.
+func runExperiments(o *options) error { return writeExperiments(os.Stdout, o) }
+
+// writeExperiments is runExperiments printing to out.
+func writeExperiments(out io.Writer, o *options) error {
 	runner := experiment.NewRunner(o.workers)
 	ev := experiment.NewEvaluator().WithTargetDur(durOf(o.dur)).WithRunner(runner)
 	ev.Cfg.Seed = o.seed
@@ -78,52 +86,88 @@ func runExperiments(o *options) error {
 	if fleet := o.fleet; fleet != nil {
 		fleet.Priority = o.priority
 		fleet.Tenant = o.tenant
-		if err := fleet.Ping(context.Background(), 10*time.Second); err != nil {
-			return err
-		}
 		// Uncached runs now execute on the fleet; the local run cache,
 		// single-flight dedup, and all rendering are untouched, so output
-		// is byte-identical to a local run. The scaling sweep builds
-		// engines directly rather than going through the evaluator, so it
-		// offloads cell-by-cell.
+		// is byte-identical to a local run. The first batches' retries
+		// wait out a fleet that is still starting. The scaling sweep
+		// builds engines directly rather than going through the
+		// evaluator, so it offloads cell-by-cell.
 		ev.Remote = fleet
 		sc.Cell = fleet.ScalingCellFunc()
 	}
 
-	for _, id := range o.ids {
-		if err := run(ev, runner, sc, id, o.comboSpec); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+	return printInOrder(out, o.ids, func(w io.Writer, id string) error {
+		return run(w, ev, runner, sc, id, o.comboSpec)
+	})
+}
+
+// printInOrder runs do for every id at once, each writing to its own
+// buffer, and prints the buffers to out in id order as they complete, a
+// blank line after each. The first id in order that fails ends it: its
+// partial output is printed, then its error is returned naming it, and
+// no later id's output is printed. Ids still running are left to finish
+// unprinted.
+func printInOrder(out io.Writer, ids []string, do func(w io.Writer, id string) error) error {
+	type result struct {
+		buf  bytes.Buffer
+		err  error
+		done chan struct{}
+	}
+	res := make([]result, len(ids))
+	for i, id := range ids {
+		res[i].done = make(chan struct{})
+		go func() {
+			defer close(res[i].done)
+			res[i].err = do(&res[i].buf, id)
+		}()
+	}
+	for i, id := range ids {
+		<-res[i].done
+		if _, err := out.Write(res[i].buf.Bytes()); err != nil {
+			return err
 		}
-		fmt.Println()
+		if res[i].err != nil {
+			return fmt.Errorf("%s: %w", id, res[i].err)
+		}
+		if _, err := fmt.Fprintln(out); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// run prints one experiment.
-func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.ScalingConfig, id string, combo experiment.Combo) error {
+// run prints one experiment to w.
+func run(w io.Writer, ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.ScalingConfig, id string, combo experiment.Combo) error {
+	render := func(m *experiment.Matrix, err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, m.Render())
+		return nil
+	}
 	switch id {
 	case "table1":
-		fmt.Print(experiment.Table1())
+		fmt.Fprint(w, experiment.Table1())
 		if experiment.Table1Feasible() {
-			fmt.Println("round trip fits inside the HCAPP control period: OK")
+			fmt.Fprintln(w, "round trip fits inside the HCAPP control period: OK")
 		} else {
-			fmt.Println("WARNING: round trip exceeds the HCAPP control period")
+			fmt.Fprintln(w, "WARNING: round trip exceeds the HCAPP control period")
 		}
 	case "table2":
-		fmt.Println("Table 2: Details of CPU and GPU Configuration")
-		fmt.Print(ev.Cfg.Table2())
+		fmt.Fprintln(w, "Table 2: Details of CPU and GPU Configuration")
+		fmt.Fprint(w, ev.Cfg.Table2())
 	case "table3":
-		fmt.Println("Table 3: Benchmark Combinations Used for Validation")
-		fmt.Print(experiment.Table3())
+		fmt.Fprintln(w, "Table 3: Benchmark Combinations Used for Validation")
+		fmt.Fprint(w, experiment.Table3())
 	case "fig1":
 		pts, avg, err := ev.Fig1(combo, 100*sim.Microsecond)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Fig 1: %s static-voltage power trace normalized to average (%.1f W)\n", combo.Name, avg)
-		fmt.Printf("%12s %12s\n", "time", "P/avg")
+		fmt.Fprintf(w, "Fig 1: %s static-voltage power trace normalized to average (%.1f W)\n", combo.Name, avg)
+		fmt.Fprintf(w, "%12s %12s\n", "time", "P/avg")
 		for _, p := range pts {
-			fmt.Printf("%12s %12.3f\n", sim.FormatTime(p.T), p.P)
+			fmt.Fprintf(w, "%12s %12.3f\n", sim.FormatTime(p.T), p.P)
 		}
 	case "fig2":
 		windows := fig2Windows
@@ -131,12 +175,12 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Fig 2: %s power over limit time windows, normalized to average (%.1f W)\n", combo.Name, avg)
-		fmt.Printf("peak/avg per window:")
-		for _, w := range windows {
-			fmt.Printf("  %s: %.3f", sim.FormatTime(w), peak(series[w]))
+		fmt.Fprintf(w, "Fig 2: %s power over limit time windows, normalized to average (%.1f W)\n", combo.Name, avg)
+		fmt.Fprintf(w, "peak/avg per window:")
+		for _, win := range windows {
+			fmt.Fprintf(w, "  %s: %.3f", sim.FormatTime(win), peak(series[win]))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	case "fig4":
 		return render(ev.Fig4())
 	case "fig5":
@@ -156,7 +200,7 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Render())
+		fmt.Fprint(w, res.Render())
 	case "policies":
 		return render(ev.ExtensionSoftwarePolicies())
 	case "centralized":
@@ -170,29 +214,29 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 		if err != nil {
 			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(w, out)
 	case "faults":
 		results, err := ev.RunFaultInjection(combo)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiment.RenderFaultInjection(combo, results))
+		fmt.Fprint(w, experiment.RenderFaultInjection(combo, results))
 	case "fault-sweep":
 		sweep, err := ev.RunFaultSweep(combo, config.PackagePinLimit(), 0, ev.Cfg.Seed)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiment.RenderFaultSweep(sweep))
+		fmt.Fprint(w, experiment.RenderFaultSweep(sweep))
 		reg := telemetry.NewRegistry()
 		sweep.Publish(fault.NewMetrics(reg))
-		fmt.Println("\nResilience counters (Prometheus text):")
-		fmt.Print(reg.Text())
+		fmt.Fprintln(w, "\nResilience counters (Prometheus text):")
+		fmt.Fprint(w, reg.Text())
 	case "energy":
 		rep, err := ev.RunEnergyAttribution(combo, config.PackagePinLimit())
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiment.RenderEnergyAttribution(rep))
+		fmt.Fprint(w, experiment.RenderEnergyAttribution(rep))
 	case "vreff":
 		return render(ev.AblationVREfficiency())
 	case "retarget":
@@ -200,13 +244,13 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 		if err != nil {
 			return err
 		}
-		fmt.Print(r.Render())
+		fmt.Fprint(w, r.Render())
 	case "seeds":
 		sw, err := experiment.RunSeedSweepWith(runner, ev.Remote, []int64{1, 2, 3, 42, 1234}, config.OffPackageVRLimit(), ev.TargetDur)
 		if err != nil {
 			return err
 		}
-		fmt.Print(sw.Render())
+		fmt.Fprint(w, sw.Render())
 	case "checks":
 		checks, err := ev.ShapeChecks()
 		if err != nil {
@@ -217,24 +261,24 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 			if !c.Pass {
 				mark = "FAIL"
 			}
-			fmt.Printf("%-4s %s (%s)\n", mark, c.Name, c.Detail)
+			fmt.Fprintf(w, "%-4s %s (%s)\n", mark, c.Name, c.Detail)
 		}
 		if failed := experiment.Failed(checks); len(failed) > 0 {
 			return fmt.Errorf("%d shape check(s) failed", len(failed))
 		}
 	case "adversarial":
-		honest, err := adversarialRun(ev, false)
+		honest, err := adversarialRun(ev, runner, false)
 		if err != nil {
 			return err
 		}
-		adv, err := adversarialRun(ev, true)
+		adv, err := adversarialRun(ev, runner, true)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Adversarial accelerator local controller (Hi-Hi, %s limit)\n", config.PackagePinLimit().Name)
-		fmt.Printf("%-14s max/limit=%.3f violated=%v cpu-done=%s\n", "pass-through",
+		fmt.Fprintf(w, "Adversarial accelerator local controller (Hi-Hi, %s limit)\n", config.PackagePinLimit().Name)
+		fmt.Fprintf(w, "%-14s max/limit=%.3f violated=%v cpu-done=%s\n", "pass-through",
 			honest.MaxOverLimit, honest.Violated, sim.FormatTime(honest.Completion["cpu"]))
-		fmt.Printf("%-14s max/limit=%.3f violated=%v cpu-done=%s\n", "adversarial",
+		fmt.Fprintf(w, "%-14s max/limit=%.3f violated=%v cpu-done=%s\n", "adversarial",
 			adv.MaxOverLimit, adv.Violated, sim.FormatTime(adv.Completion["cpu"]))
 	default:
 		// parseExperimentIDs screens ids before this runs; reaching here
@@ -246,17 +290,23 @@ func run(ev *experiment.Evaluator, runner *experiment.Runner, sc experiment.Scal
 
 // adversarialRun runs Hi-Hi under HCAPP at the package-pin limit, with
 // the accelerator's local controller passing through or grabbing all
-// tolerable voltage (§3.3.3).
-func adversarialRun(ev *experiment.Evaluator, adversarial bool) (experiment.RunResult, error) {
+// tolerable voltage (§3.3.3). It runs as a one-task batch on runner, so
+// it holds a slot like every other simulation.
+func adversarialRun(ev *experiment.Evaluator, runner *experiment.Runner, adversarial bool) (res experiment.RunResult, err error) {
 	combo, err := experiment.ComboByName("Hi-Hi")
 	if err != nil {
-		return experiment.RunResult{}, err
+		return res, err
 	}
 	scheme, err := config.SchemeByKind(config.HCAPP)
 	if err != nil {
-		return experiment.RunResult{}, err
+		return res, err
 	}
-	return ev.Run(experiment.RunSpec{Combo: combo, Scheme: scheme, Limit: config.PackagePinLimit(), AdversarialAccel: adversarial})
+	spec := experiment.RunSpec{Combo: combo, Scheme: scheme, Limit: config.PackagePinLimit(), AdversarialAccel: adversarial}
+	err = runner.Tasks(context.Background(), 1, func(ctx context.Context, _ int) (err error) {
+		res, err = ev.RunContext(ctx, spec)
+		return err
+	})
+	return res, err
 }
 
 // peak returns the largest value of a normalized power series.
@@ -268,12 +318,4 @@ func peak(pts []trace.Point) float64 {
 		}
 	}
 	return m
-}
-
-func render(m *experiment.Matrix, err error) error {
-	if err != nil {
-		return err
-	}
-	fmt.Print(m.Render())
-	return nil
 }

@@ -101,7 +101,7 @@ func define(fs *flag.FlagSet, o *options, c *command) {
 		case "combo":
 			fs.StringVar(&o.combo, name, "Burst-Burst", "workload combination")
 		case "workers":
-			fs.IntVar(&o.workers, name, runtime.NumCPU(), "parallel simulation workers (output is identical at any width)")
+			fs.IntVar(&o.workers, name, runtime.NumCPU(), "simulations run at once, across every experiment id (output is identical at any width)")
 		case "coordinator":
 			fs.StringVar(&o.coordinator, name, "", "offload simulations to the fleet coordinator at this URL (rendered output is identical)")
 		case "priority":

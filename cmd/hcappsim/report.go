@@ -224,7 +224,7 @@ func (r *reporter) extensions() error {
 	r.check("HCAPP stays legal from 1 to 16 triples", first.HCAPPMax <= 1.02 && last.HCAPPMax <= 1.02)
 	r.check("centralized control degrades with scale", last.CentralPeriod > first.CentralPeriod)
 
-	adv, err := adversarialRun(r.ev, true)
+	adv, err := adversarialRun(r.ev, r.runner, true)
 	if err != nil {
 		return err
 	}

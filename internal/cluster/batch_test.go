@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -18,7 +16,6 @@ import (
 	"hcapp/internal/experiment"
 	"hcapp/internal/sched"
 	"hcapp/internal/sim"
-	"hcapp/internal/tracing"
 )
 
 // countingCoordinator serves c's HTTP surface and counts the batches
@@ -297,45 +294,6 @@ func TestOverBurstBatchIsResentInPieces(t *testing.T) {
 	}
 	if n := posts.Load(); n < 3 {
 		t.Fatalf("client sent %d requests, want the refused one and a piece per burst", n)
-	}
-}
-
-// TestSliceResponseIsWriteJSONs: the worker's item-at-a-time reply is
-// the JSON writeJSON writes for the same response, up to whitespace:
-// results with and without energy, a failed item, spans or none.
-func TestSliceResponseIsWriteJSONs(t *testing.T) {
-	p := testParams()
-	w := NewWorker(WorkerConfig{ID: "w-a", Workers: 1, Logf: t.Logf})
-	items := append(testItems(t, 2), Item{})
-	full, err := w.RunSlice(context.Background(), p, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Results[0].Result == nil || full.Results[0].Result.Energy == nil || full.Results[2].Error == "" {
-		t.Fatalf("want two results with energy and a failed item, got %+v", full.Results)
-	}
-	full.Spans = []tracing.Span{{TraceID: "t", SpanID: "s", Name: "engine", Attrs: map[string]string{"worker": "<w-a>"}}}
-	for name, resp := range map[string]*RunResponse{
-		"full":     full,
-		"no spans": {Results: full.Results[:2]},
-		"empty":    {Results: []ItemResult{}, CacheHits: 3},
-	} {
-		streamed, whole := httptest.NewRecorder(), httptest.NewRecorder()
-		writeSliceResponse(streamed, resp)
-		writeJSON(whole, http.StatusOK, resp)
-		var a, b bytes.Buffer
-		if err := json.Compact(&a, streamed.Body.Bytes()); err != nil {
-			t.Fatalf("%s: streamed reply is not JSON: %v\n%s", name, err, streamed.Body.Bytes())
-		}
-		if err := json.Compact(&b, whole.Body.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Fatalf("%s: streamed reply\n%s\nwant\n%s", name, a.Bytes(), b.Bytes())
-		}
-		if ct := streamed.Header().Get("Content-Type"); streamed.Code != http.StatusOK || ct != "application/json" {
-			t.Fatalf("%s: status %d, content type %q", name, streamed.Code, ct)
-		}
 	}
 }
 

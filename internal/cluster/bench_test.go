@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -81,4 +83,58 @@ func BenchmarkClientRunRemoteHot(b *testing.B) {
 			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/items, "allocs/item")
 		})
 	}
+}
+
+// BenchmarkRunReplyCodec prices the run-reply codec against the
+// reflection-based encoding/json it replaced, on a hot 32-item lean
+// reply (a Fig. 4 batch answered from the fleet cache): "json" encodes
+// with json.Encoder, as the coordinator's writeJSON did, and decodes
+// with json.Decoder, as Client.runOnce did; "codec" is
+// appendRunResponse and decodeRunResponse. Run with
+//
+//	go test -run NONE -bench RunReplyCodec ./internal/cluster
+func BenchmarkRunReplyCodec(b *testing.B) {
+	reply := &RunResponse{Results: make([]ItemResult, 32), CacheHits: 32}
+	for i := range reply.Results {
+		reply.Results[i] = codecReplies()["lean hot"].Results[0]
+	}
+	body, err := appendRunResponse(nil, reply)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode/json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(reply); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode/codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := appendRunResponse(nil, reply); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var rr RunResponse
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&rr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/codec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeRunResponse(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

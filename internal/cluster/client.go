@@ -74,41 +74,6 @@ func (c *Client) maxAttempts() int {
 	return 10
 }
 
-// Ping waits until the coordinator answers /readyz (workers registered,
-// not draining), retrying connection failures and 503s with jittered
-// backoff until the deadline. A Retry-After header on the 503 floors
-// the next probe delay. It returns an error when the coordinator stays
-// unreachable or unready — hcappsim exits 1 on that.
-func (c *Client) Ping(ctx context.Context, patience time.Duration) error {
-	deadline := time.Now().Add(patience)
-	var last error
-	probe := &http.Client{Timeout: 2 * time.Second}
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
-		if err != nil {
-			return err
-		}
-		var floor time.Duration
-		resp, err := probe.Do(req)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-			floor = parseRetryAfter(resp.Header)
-			last = fmt.Errorf("coordinator %s not ready: /readyz status %d", c.base, resp.StatusCode)
-		} else {
-			last = fmt.Errorf("coordinator %s unreachable: %w", c.base, err)
-		}
-		if time.Now().After(deadline) {
-			return last
-		}
-		if err := c.Backoff.WaitAtLeast(ctx, attempt, floor); err != nil {
-			return err
-		}
-	}
-}
-
 // Run submits one batch under the client's Tenant and Priority (they
 // replace req's) and returns its index-aligned results, retrying
 // transport-level failures per the client's backoff policy. A batch the
@@ -212,17 +177,17 @@ func (c *Client) runOnce(ctx context.Context, body []byte, n int) (_ *RunRespons
 			return nil, false, 0, fmt.Errorf("cluster: run: %s", ae.Error)
 		}
 	}
-	var rr RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		// A truncated or garbled body is a transport failure, not a
-		// verdict: retry the whole batch rather than assembling a
-		// partial response.
+	// A truncated or garbled body is a transport failure, not a
+	// verdict: retry the whole batch rather than assembling a partial
+	// response.
+	rr, err := readRunResponse(resp)
+	if err != nil {
 		return nil, true, 0, fmt.Errorf("cluster: run: reading response: %w", err)
 	}
 	if len(rr.Results) != n {
 		return nil, true, 0, fmt.Errorf("cluster: run: %d results for %d items", len(rr.Results), n)
 	}
-	return &rr, false, 0, nil
+	return rr, false, 0, nil
 }
 
 // RunRemote implements experiment.RemoteRunner: the uncached specs of

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -825,14 +826,14 @@ func (c *Coordinator) postSlice(ctx context.Context, w RegisterRequest, params P
 	if hr.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("worker %s: status %d", w.ID, hr.StatusCode)
 	}
-	var resp RunResponse
-	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
+	resp, err := readRunResponse(hr)
+	if err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(slice) {
 		return nil, fmt.Errorf("worker %s: %d results for %d items", w.ID, len(resp.Results), len(slice))
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // CacheLen reports fleet-cache occupancy (tests, introspection).
@@ -951,7 +952,17 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, resp)
+		// The reply is encoded whole before the status goes out, so an
+		// encoding failure is a 500, and it leaves in one write.
+		body, err := appendRunResponse(nil, resp)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "encoding reply: %v", err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
 	}
 }
 

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -74,6 +76,51 @@ func FuzzClusterProtocol(f *testing.F) {
 			if _, err := json.Marshal(rr); err != nil {
 				t.Fatalf("re-marshal RunResponse: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzRunResponseCodec holds the run-reply codec to encoding/json: on
+// any bytes, decodeRunResponse fails exactly where json.Unmarshal into
+// a RunResponse fails and otherwise returns a reflect.DeepEqual value,
+// and the appender re-encodes every decoded value to json.Marshal's
+// bytes plus a newline. Run longer with
+//
+//	go test -run NoSuchTest -fuzz FuzzRunResponseCodec ./internal/cluster
+func FuzzRunResponseCodec(f *testing.F) {
+	for _, name := range []string{"lean hot", "energy", "worker with spans", "item error with escapes", "scaling", "float below 1e-6"} {
+		b, err := appendRunResponse(nil, codecReplies()[name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"Results":[{"Result":{"avg_power":1,"avg_power":2}}],"cache_hits":null}`))
+	f.Add([]byte(`{"results":[{"result":{"completion":{"cpu":1e3}}}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeRunResponse(data)
+		var std RunResponse
+		stdErr := json.Unmarshal(data, &std)
+		if (err != nil) != (stdErr != nil) {
+			t.Fatalf("decode error %v, json.Unmarshal error %v", err, stdErr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(*got, std) {
+			t.Fatalf("decoded %+v, json.Unmarshal %+v", *got, std)
+		}
+		enc, err := appendRunResponse(nil, got)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded reply: %v", err)
+		}
+		want, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, append(want, '\n')) {
+			t.Fatalf("appended\n%s\njson.Marshal\n%s", enc, want)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -242,29 +241,6 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeSliceResponse(rw, resp)
-}
-
-// writeSliceResponse writes resp as writeJSON does, one result at a
-// time: the encoder's buffer then holds one item's JSON, energy ledger
-// included, instead of growing to the whole slice's (about 130 KB for
-// a 32-item figure slice, allocated at every doubling on the way).
-func writeSliceResponse(rw http.ResponseWriter, resp *RunResponse) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(rw)
-	io.WriteString(rw, `{"results":[`)
-	for i := range resp.Results {
-		if i > 0 {
-			io.WriteString(rw, ",")
-		}
-		enc.Encode(&resp.Results[i])
-	}
-	fmt.Fprintf(rw, `],"cache_hits":%d`, resp.CacheHits)
-	if len(resp.Spans) > 0 {
-		io.WriteString(rw, `,"spans":`)
-		enc.Encode(resp.Spans)
-	}
-	io.WriteString(rw, "}\n")
 }
 
 // RunSlice executes the items on the local pool and returns

@@ -120,8 +120,13 @@ func (ev *Evaluator) AblationClocking() (*Matrix, error) {
 // attached and reports the peak junction temperature — verifying the
 // paper's §3.5 assumption ("the power constraint is lower than the TDP
 // so temperature effects are not modeled") holds on this system.
+// It runs as a one-task batch on the evaluator's runner.
 func (ev *Evaluator) ThermalCheck() (peakCPU, peakGPU float64, tripped bool, err error) {
-	return ev.thermalCheck(context.Background())
+	err = ev.runner.Tasks(context.Background(), 1, func(ctx context.Context, _ int) (err error) {
+		peakCPU, peakGPU, tripped, err = ev.thermalCheck(ctx)
+		return err
+	})
+	return peakCPU, peakGPU, tripped, err
 }
 
 func (ev *Evaluator) thermalCheck(ctx context.Context) (peakCPU, peakGPU float64, tripped bool, err error) {

@@ -50,14 +50,20 @@ func (ev *Evaluator) Fig2(combo Combo, windows []sim.Time, sampleEvery sim.Time)
 }
 
 // staticRun is the Fig. 1 / Fig. 2 run: combo on the fixed-voltage
-// rail for exactly TargetDur, idle tails included.
-func (ev *Evaluator) staticRun(combo Combo) (*trace.Recorder, error) {
-	sys, _, err := ev.BuildSized(RunSpec{Combo: combo, Scheme: ev.FixedScheme()}, nil)
-	if err != nil {
-		return nil, err
-	}
-	sys.Engine.RunFor(ev.TargetDur)
-	return sys.Engine.Recorder(), nil
+// rail for exactly TargetDur, idle tails included. It runs as a
+// one-task batch, so it holds one of the runner's slots like every
+// other simulation.
+func (ev *Evaluator) staticRun(combo Combo) (rec *trace.Recorder, err error) {
+	err = ev.runner.Tasks(context.Background(), 1, func(context.Context, int) error {
+		sys, _, err := ev.BuildSized(RunSpec{Combo: combo, Scheme: ev.FixedScheme()}, nil)
+		if err != nil {
+			return err
+		}
+		sys.Engine.RunFor(ev.TargetDur)
+		rec = sys.Engine.Recorder()
+		return nil
+	})
+	return rec, err
 }
 
 // schemeSuiteSpecs builds the scheme-major spec batch behind the figure

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -27,8 +28,17 @@ type RetargetResult struct {
 }
 
 // RunRetarget executes the mid-run target switch: the first half tracks
-// the fast-limit target, the second half the slow-limit target.
-func (ev *Evaluator) RunRetarget(combo Combo) (*RetargetResult, error) {
+// the fast-limit target, the second half the slow-limit target. It runs
+// as a one-task batch on the evaluator's runner.
+func (ev *Evaluator) RunRetarget(combo Combo) (res *RetargetResult, err error) {
+	err = ev.runner.Tasks(context.Background(), 1, func(context.Context, int) (err error) {
+		res, err = ev.runRetarget(combo)
+		return err
+	})
+	return res, err
+}
+
+func (ev *Evaluator) runRetarget(combo Combo) (*RetargetResult, error) {
 	t1 := TargetPowerFor(config.PackagePinLimit())
 	t2 := TargetPowerFor(config.OffPackageVRLimit())
 	sys, _, err := ev.BuildSized(hcappSpec(combo, config.PackagePinLimit()), func(o *BuildOptions) {

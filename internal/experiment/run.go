@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"hcapp/internal/config"
 	"hcapp/internal/energy"
@@ -35,10 +36,22 @@ type RunSpec struct {
 // state (seed, horizon, fixed voltage) — the evaluator folds those in
 // via CacheKey, so reconfiguring an evaluator mid-sequence can never serve
 // a result computed under the old parameters.
-func (s RunSpec) key() string {
-	k := fmt.Sprintf("%s|%s|%s", s.Combo.key(), s.Scheme.Kind, s.Limit.Name)
+func (s RunSpec) key() string { return string(s.appendKey(nil)) }
+
+// appendKey appends key's bytes to b: the combo's definition, scheme
+// kind and limit name, then whatever else sets the spec apart (the
+// fixed rail voltage, sorted priorities, the adversarial flag, the
+// policy). Both ends of the fleet build it for every item of every
+// batch, so it formats with strconv instead of fmt.
+func (s RunSpec) appendKey(b []byte) []byte {
+	b = append(b, s.Combo.key()...)
+	b = append(b, '|')
+	b = append(b, s.Scheme.Kind...)
+	b = append(b, '|')
+	b = append(b, s.Limit.Name...)
 	if s.Scheme.Kind == config.FixedVoltage {
-		k += fmt.Sprintf("|fixed=%g", s.Scheme.FixedV)
+		b = append(b, "|fixed="...)
+		b = strconv.AppendFloat(b, s.Scheme.FixedV, 'g', -1, 64)
 	}
 	if len(s.Priorities) > 0 {
 		names := make([]string, 0, len(s.Priorities))
@@ -47,16 +60,20 @@ func (s RunSpec) key() string {
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			k += fmt.Sprintf("|%s=%.3f", n, s.Priorities[n])
+			b = append(b, '|')
+			b = append(b, n...)
+			b = append(b, '=')
+			b = strconv.AppendFloat(b, s.Priorities[n], 'f', 3, 64)
 		}
 	}
 	if s.AdversarialAccel {
-		k += "|adversarial"
+		b = append(b, "|adversarial"...)
 	}
 	if s.Policy != "" {
-		k += "|policy=" + s.Policy
+		b = append(b, "|policy="...)
+		b = append(b, s.Policy...)
 	}
-	return k
+	return b
 }
 
 // RunResult is the outcome of one simulation run.
@@ -262,12 +279,21 @@ func (ev *Evaluator) WithRunner(r *Runner) *Evaluator {
 // construction. The evaluator's cache and the cluster's fleet cache
 // both key by it, so the two cannot drift apart.
 func RunKey(seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, trackEnergy bool, spec RunSpec) string {
-	key := fmt.Sprintf("seed=%d|dur=%d|maxf=%g|fv=%g|%s",
-		seed, targetDur, maxDurFactor, fixedV, spec.key())
+	b := make([]byte, 0, 128)
+	b = append(b, "seed="...)
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, "|dur="...)
+	b = strconv.AppendInt(b, targetDur, 10)
+	b = append(b, "|maxf="...)
+	b = strconv.AppendFloat(b, maxDurFactor, 'g', -1, 64)
+	b = append(b, "|fv="...)
+	b = strconv.AppendFloat(b, fixedV, 'g', -1, 64)
+	b = append(b, '|')
+	b = spec.appendKey(b)
 	if trackEnergy {
-		key += "|energy=1"
+		b = append(b, "|energy=1"...)
 	}
-	return key
+	return string(b)
 }
 
 // CacheKey exposes the result-cache key for spec under the evaluator's

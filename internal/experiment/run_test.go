@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"hcapp/internal/config"
@@ -407,6 +409,90 @@ func TestEvaluatorRunKeepsNoPowerSeries(t *testing.T) {
 		t.Logf("%s: %d steps, the evaluator run allocated %d bytes", name, seriesBytes/8, alloc)
 		if alloc >= seriesBytes {
 			t.Fatalf("%s: the evaluator run allocated %d bytes, not under the %d-byte series of its steps", name, alloc, seriesBytes)
+		}
+	}
+}
+
+// fmtRunKey is RunKey as fmt formats it: the formulation the strconv
+// appends must reproduce byte for byte, since the key addresses every
+// evaluator and fleet cache entry.
+func fmtRunKey(seed int64, targetDur sim.Time, maxDurFactor, fixedV float64, trackEnergy bool, s RunSpec) string {
+	k := fmt.Sprintf("%s|%s|%s", s.Combo.key(), s.Scheme.Kind, s.Limit.Name)
+	if s.Scheme.Kind == config.FixedVoltage {
+		k += fmt.Sprintf("|fixed=%g", s.Scheme.FixedV)
+	}
+	if len(s.Priorities) > 0 {
+		names := make([]string, 0, len(s.Priorities))
+		for n := range s.Priorities {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			k += fmt.Sprintf("|%s=%.3f", n, s.Priorities[n])
+		}
+	}
+	if s.AdversarialAccel {
+		k += "|adversarial"
+	}
+	if s.Policy != "" {
+		k += "|policy=" + s.Policy
+	}
+	key := fmt.Sprintf("seed=%d|dur=%d|maxf=%g|fv=%g|%s", seed, targetDur, maxDurFactor, fixedV, k)
+	if trackEnergy {
+		key += "|energy=1"
+	}
+	return key
+}
+
+// TestRunKeyMatchesFmt: RunKey and RunSpec.key build with strconv the
+// same bytes fmt's %d, %g and %.3f build, over every spec Figs. 4, 5
+// and 10 submit plus fixed-voltage, priority, policy and adversarial
+// specs, under several evaluator parameter sets.
+func TestRunKeyMatchesFmt(t *testing.T) {
+	rec := &fakeRemote{}
+	ev := shortEvaluator()
+	ev.Remote = rec
+	for _, fig := range []func() (*Matrix, error){ev.Fig4, ev.Fig5, ev.Fig10} {
+		if _, err := fig(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var specs []RunSpec
+	for _, b := range rec.batches() {
+		specs = append(specs, b...)
+	}
+	if len(specs) != 56 {
+		t.Fatalf("Figs. 4, 5 and 10 sent %d specs, want 56", len(specs))
+	}
+	hiHi := mustCombo2(t, "Hi-Hi")
+	hcapp := mustScheme2(t, config.HCAPP)
+	for _, v := range []float64{0.95, 0.8, 1, 1.0000001, 1e-7, 123456789} {
+		specs = append(specs, RunSpec{Combo: hiHi, Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: v}, Limit: config.OffPackageVRLimit()})
+	}
+	specs = append(specs,
+		RunSpec{Combo: hiHi, Scheme: hcapp, Limit: config.PackagePinLimit(), Priorities: map[string]float64{"cpu": 1, "gpu": 0.9, "sha": 0.12345, "io": -0.0005}},
+		RunSpec{Combo: hiHi, Scheme: hcapp, Limit: config.PackagePinLimit(), AdversarialAccel: true},
+		RunSpec{Combo: customHiHi(t), Scheme: hcapp, Limit: config.PackagePinLimit(), Policy: "progress-balancer", AdversarialAccel: true,
+			Priorities: PriorityFor("gpu")},
+	)
+	for _, p := range SoftwarePolicies() {
+		specs = append(specs, RunSpec{Combo: hiHi, Scheme: hcapp, Limit: config.PackagePinLimit(), Policy: p.Name()})
+	}
+	params := []struct {
+		seed         int64
+		dur          sim.Time
+		maxf, fixedV float64
+		trackEnergy  bool
+	}{
+		{42, 2 * sim.Millisecond, DefaultMaxDurFactor, DefaultFixedV, false},
+		{-7, 1, 2.5, 0.9, true},
+		{1 << 40, 16 * sim.Millisecond, 1e21, 1e-5, false},
+	}
+	for _, p := range params {
+		for _, s := range specs {
+			if got, want := RunKey(p.seed, p.dur, p.maxf, p.fixedV, p.trackEnergy, s), fmtRunKey(p.seed, p.dur, p.maxf, p.fixedV, p.trackEnergy, s); got != want {
+				t.Fatalf("RunKey = %q, fmt formulation %q", got, want)
+			}
 		}
 	}
 }

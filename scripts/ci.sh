@@ -134,17 +134,28 @@ echo "every example prints the same output from the fixed-step and default build
 # mixed-priority clients hammering the fleet concurrently.
 echo "== cluster determinism diff (coordinator + 2 workers) =="
 go build -o "$tmp/hcapp-serve" ./cmd/hcapp-serve
+# A client started before the coordinator listens: hcappsim sends no
+# readiness probe, so its first batch's retries (connection refused,
+# then 503 until a worker registers) must absorb the fleet's boot.
+"$tmp/hcappsim" -experiment fig7 -dur 1 -workers 2 \
+	-coordinator http://127.0.0.1:18080 -tenant ci-early >"$tmp/fleet-early.out" &
+client_early=$!
+sleep 1
 "$tmp/hcapp-serve" -role coordinator -addr 127.0.0.1:18080 &
 coord_pid=$!
 "$tmp/hcapp-serve" -role worker -addr 127.0.0.1:18081 -coordinator http://127.0.0.1:18080 &
 w1_pid=$!
 "$tmp/hcapp-serve" -role worker -addr 127.0.0.1:18082 -coordinator http://127.0.0.1:18080 &
 w2_pid=$!
-trap 'kill $coord_pid $w1_pid $w2_pid 2>/dev/null; rm -rf "$tmp"' EXIT
+trap 'kill $client_early $coord_pid $w1_pid $w2_pid 2>/dev/null; rm -rf "$tmp"' EXIT
+wait $client_early
+"$tmp/hcappsim" -experiment fig7 -dur 1 -workers 1 >"$tmp/solo-early.out"
+diff -u "$tmp/solo-early.out" "$tmp/fleet-early.out"
+echo "a client started before the coordinator matches standalone"
 
-# Both workers register before the clients start, so the cold batches
-# have the whole fleet to spread over (a client's /readyz wait ends at
-# the first registered worker).
+# Both workers register before the next clients start, so the cold
+# batches have the whole fleet to spread over (a client's first batch
+# goes out as soon as one worker is registered).
 for _ in $(seq 100); do
 	live="$(curl -fsS http://127.0.0.1:18080/v1/cluster/workers 2>/dev/null | grep -o '"live":true' | wc -l)"
 	[ "$live" = 2 ] && break
@@ -152,8 +163,7 @@ for _ in $(seq 100); do
 done
 
 # Two concurrent clients in different priority classes; each must match
-# the standalone output byte for byte. The clients' own readiness retry
-# (10 s patience on /readyz) absorbs fleet boot time.
+# the standalone output byte for byte.
 "$tmp/hcappsim" -experiment fig4,fig5,energy -dur 1 -workers 2 \
 	-coordinator http://127.0.0.1:18080 -priority interactive -tenant ci-a >"$tmp/fleet-a.out" &
 client_a=$!
@@ -211,6 +221,15 @@ if [ -z "$items_after" ] || ! awk -v a="$items_after" -v b="${items_before:-0}" 
 	exit 1
 fi
 echo "seed sweep through the fleet identical to standalone ($items_before -> $items_after cluster items)"
+# Nothing in this stage probes the coordinator's /readyz, so its count
+# stays 0: the clients above sent no readiness probe.
+readyz="$(curl -fsS http://127.0.0.1:18080/metrics |
+	awk '$1 == "hcapp_http_requests_total{handler=\"readyz\"}" {n = $2} END {print n + 0}')"
+if [ "$readyz" != 0 ]; then
+	echo "the fleet clients sent $readyz GET /readyz to the coordinator"
+	exit 1
+fi
+echo "no client probed the coordinator's /readyz"
 # A fleet reply carries the energy ledger only when the request asks for
 # it; the simulated metrics are the same either way.
 run_body='{"params":{"seed":42,"target_dur_ns":1000000,"max_dur_factor":3,"fixed_v":0.95},"items":[{"spec":{"combo":"Hi-Hi","scheme":{"Kind":"hcapp","ControlPeriod":1000},"limit":{"Name":"package-pin","Watts":100,"Window":20000}}}]'
@@ -460,6 +479,9 @@ trap 'rm -rf "$tmp"' EXIT
 echo "== fuzz (short) =="
 go test -run NoSuchTest -fuzz FuzzParseText -fuzztime 5s ./internal/telemetry
 go test -run NoSuchTest -fuzz FuzzClusterProtocol -fuzztime 5s ./internal/cluster
+# The run-reply codec must decode as json.Unmarshal does and encode as
+# json.Marshal does, on any bytes.
+go test -run NoSuchTest -fuzz FuzzRunResponseCodec -fuzztime 5s ./internal/cluster
 # Trace streams draw from a lazily seeded copy of math/rand's source; it
 # must match math/rand draw for draw across seeds, reseeds and wraps.
 go test -run NoSuchTest -fuzz FuzzLagSource -fuzztime 5s ./internal/workload
