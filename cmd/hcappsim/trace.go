@@ -36,12 +36,13 @@ func runTrace(o *options) error {
 		if err != nil {
 			return err
 		}
+		total := trace.NewSeries(ev.Cfg.TimeStep, sample, sample)
+		eng.SetObserver(sched.TotalSeries{total})
 		eng.RunFor(ev.TargetDur)
-		rec := eng.Recorder()
-		avg := rec.AvgPower()
+		avg := eng.Recorder().AvgPower()
 		fmt.Printf("# combo=%s scheme=%s avg_power_w=%.2f\n", combo.Name, o.scheme, avg)
 		fmt.Println("time_us,power_normalized")
-		for _, p := range trace.Normalize(rec.Series(sample), avg) {
+		for _, p := range trace.Normalize(total.Points(), avg) {
 			fmt.Printf("%.1f,%.4f\n", float64(p.T)/float64(sim.Microsecond), p.P)
 		}
 	case 2:
@@ -89,13 +90,14 @@ func voltageTrace(w io.Writer, ev *experiment.Evaluator, spec experiment.RunSpec
 	}
 	s := sched.NewSampler(eng, sample)
 	s.Grow(int(ev.TargetDur / sample))
-	eng.SetObserver(s)
+	total := trace.NewSeries(ev.Cfg.TimeStep, sample, sample)
+	eng.SetObserver(sched.Observers(s, sched.TotalSeries{total}))
 	eng.RunFor(ev.TargetDur)
 	cpuW, gpuW, shaW := s.Power("cpu"), s.Power("gpu"), s.Power("sha")
 	names := []string{"total_w", "cpu_w", "gpu_w", "sha_w", "rail_v", "vcpu_v", "vgpu_v",
 		"ecpu_j", "egpu_j", "esha_j"}
 	series := [][]trace.Point{
-		eng.Recorder().Series(sample),
+		total.Points(),
 		cpuW,
 		gpuW,
 		shaW,

@@ -151,7 +151,10 @@ func mustScheme(k config.SchemeKind) Scheme {
 }
 
 // Build assembles a simulated package directly, for callers that want
-// to drive the engine themselves (see examples/adversarial).
+// to drive the engine themselves (see examples/adversarial). Its
+// recorder answers MaxWindowAvg over the paper's two limit windows,
+// 20 µs and 1 ms, and keeps no per-step series: attach a StepObserver
+// for any other per-step analysis.
 func Build(cfg SystemConfig, combo Combo, opts BuildOptions) (*System, error) {
 	return experiment.Build(cfg, combo, opts)
 }

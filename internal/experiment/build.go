@@ -142,10 +142,6 @@ type BuildOptions struct {
 	// Evaluator passes its own so that every build it makes shares
 	// them; nil makes assemble generate fresh ones for this build.
 	traces *traceSets
-	// powerWindow, when positive, gives the engine a recorder that
-	// keeps no power series, only the sums AvgPower and MaxWindowAvg
-	// over this window need (trace.NewWindowRecorder).
-	powerWindow sim.Time
 }
 
 // System bundles an assembled engine with handles the experiments need.
@@ -160,16 +156,26 @@ type System struct {
 	Opts   BuildOptions
 }
 
+// paperWindows are the windows of the paper's two power limits: the
+// ones the engine's recorder answers MaxWindowAvg for after a direct
+// Build or BuildTopology.
+var paperWindows = []sim.Time{config.PackagePinLimit().Window, config.OffPackageVRLimit().Window}
+
 // Build assembles the paper's Table 3 package — one CPU, one GPU, one
 // SHA accelerator and the memory chiplet — for one combo under one
-// scheme.
+// scheme. Its recorder keeps the paper limits' windows.
 func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, error) {
+	return build(cfg, combo, opts, paperWindows)
+}
+
+// build is Build with a recorder that keeps windows.
+func build(cfg config.SystemConfig, combo Combo, opts BuildOptions, windows []sim.Time) (*System, error) {
 	sys, err := assemble(cfg, Topology{Chiplets: []ChipletSpec{
 		{Kind: "cpu", Benchmark: combo.CPU},
 		{Kind: "gpu", Benchmark: combo.GPU},
 		{Kind: "sha"},
 		{Kind: "mem"},
-	}}, opts)
+	}}, opts, windows)
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +188,12 @@ func Build(cfg config.SystemConfig, combo Combo, opts BuildOptions) (*System, er
 
 // assemble builds one package: every chiplet of topo under one global
 // rail and one level-1 controller, each chiplet with its own level-2
-// domain. Build, BuildTopology and the scaling sweep all come through
-// here. opts.CPUWork, GPUWork and AccelWorkGB fill the cpu, gpu and sha
-// pools (only Build sets them); topo.SizingDur, when set, sizes every
-// compute chiplet at the fixed 0.95 V point instead.
-func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*System, error) {
+// domain, and a recorder that answers MaxWindowAvg over windows. Build,
+// BuildTopology and the scaling sweep all come through here.
+// opts.CPUWork, GPUWork and AccelWorkGB fill the cpu, gpu and sha pools
+// (only Build sets them); topo.SizingDur, when set, sizes every compute
+// chiplet at the fixed 0.95 V point instead.
+func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions, windows []sim.Time) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -370,12 +377,7 @@ func assemble(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*Syste
 		ledgerSlots[i] = ls
 	}
 
-	var rec *trace.Recorder
-	if opts.powerWindow > 0 {
-		rec, err = trace.NewWindowRecorder(cfg.TimeStep, opts.powerWindow)
-	} else {
-		rec, err = trace.NewRecorder(cfg.TimeStep)
-	}
+	rec, err := trace.NewRecorder(cfg.TimeStep, windows...)
 	if err != nil {
 		return nil, err
 	}

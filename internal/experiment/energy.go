@@ -122,7 +122,7 @@ func (ev *Evaluator) RunEnergyAttribution(faultCombo Combo, limit config.PowerLi
 		if err != nil {
 			return err
 		}
-		run, err := ev.buildSweepSystem(faultCombo, limit, inj, false, true)
+		run, err := ev.buildSweepSystem(faultCombo, limit, inj, false, true, nil)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 	"hcapp/internal/core"
 	"hcapp/internal/fault"
 	"hcapp/internal/noc"
+	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 	"hcapp/internal/stats"
 )
@@ -123,7 +124,6 @@ type FaultSweep struct {
 type sweepRun struct {
 	sys     *System
 	central *central.Controller
-	totals  []float64
 	work    map[string]float64
 }
 
@@ -131,13 +131,15 @@ type sweepRun struct {
 // (and the energy experiment's fault phase, which sets trackEnergy):
 // zero work pools (components run forever), clamp and watchdogs armed,
 // and either the HCAPP hierarchy with sensing holdover or the
-// centralized baseline with telemetry holdover.
-func (ev *Evaluator) buildSweepSystem(combo Combo, limit config.PowerLimit, inj *fault.Injector, centralized, trackEnergy bool) (*sweepRun, error) {
+// centralized baseline with telemetry holdover. obs, when non-nil,
+// watches every step; the recorder keeps limit's window.
+func (ev *Evaluator) buildSweepSystem(combo Combo, limit config.PowerLimit, inj *fault.Injector, centralized, trackEnergy bool, obs sched.StepObserver) (*sweepRun, error) {
 	opts := BuildOptions{
 		Injector:    inj,
 		Clamp:       &core.ClampConfig{CapW: limit.Watts, Window: limit.Window, DT: ev.Cfg.TimeStep},
 		Watchdog:    core.WatchdogConfig{Timeout: DefaultWatchdogTimeout},
 		TrackEnergy: trackEnergy,
+		Observer:    obs,
 		traces:      &ev.traces,
 	}
 	run := &sweepRun{}
@@ -176,12 +178,29 @@ func (ev *Evaluator) buildSweepSystem(combo Combo, limit config.PowerLimit, inj 
 		opts.TargetPower = TargetPowerFor(limit)
 		opts.Holdover = core.HoldoverConfig{MaxAge: DefaultHoldoverMaxAge}
 	}
-	sys, err := Build(ev.Cfg, combo, opts)
+	sys, err := build(ev.Cfg, combo, opts, []sim.Time{limit.Window})
 	if err != nil {
 		return nil, err
 	}
 	run.sys = sys
 	return run, nil
+}
+
+// powerTail is a StepObserver that keeps the package power of every
+// step from step from on: the part of a run the recovery scan reads.
+type powerTail struct {
+	from, seen int64
+	totals     []float64
+}
+
+// ObserveSteps implements sched.StepObserver.
+func (p *powerTail) ObserveSteps(_, _ sim.Time, n int64, total float64, _ []sched.DomainSample) {
+	for ; n > 0; n-- {
+		if p.seen >= p.from {
+			p.totals = append(p.totals, total)
+		}
+		p.seen++
+	}
 }
 
 // telemetrySource converts a possibly-nil injector into a possibly-nil
@@ -206,7 +225,6 @@ func (r *sweepRun) finish(ctx context.Context, dur sim.Time) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	r.totals = r.sys.Engine.Recorder().Totals()
 	r.work = map[string]float64{
 		"cpu": r.sys.CPU.DoneWork(),
 		"gpu": r.sys.GPU.DoneWork(),
@@ -238,50 +256,60 @@ func (ev *Evaluator) RunFaultSweep(combo Combo, limit config.PowerLimit, dur sim
 		injs[i] = inj
 	}
 
+	// Recovery is scanned from a scenario's last fault end on, and every
+	// default plan's faults end by dur/2, so each run keeps its power
+	// trace from there.
+	from, steps := int64(dur/2/ev.Cfg.TimeStep), int64(dur/ev.Cfg.TimeStep)
+
 	// One batch: the two healthy references (per control topology) plus
-	// every scenario, fanned over the runner and harvested by index so the
-	// table is identical at any worker count.
-	runs := make([]*sweepRun, 2+len(scenarios))
-	err := ev.runner.Tasks(context.Background(), len(runs), func(ctx context.Context, i int) error {
+	// every scenario, fanned over the runner. Tasks start in index order,
+	// so both references hold a slot before any scenario waits on its
+	// own; a scenario then reduces itself to its row and drops its trace.
+	// Rows are harvested by index, so the table is identical at any
+	// worker count.
+	type reference struct {
+		done chan struct{}
+		tail []float64
+		work map[string]float64
+	}
+	refs := map[bool]*reference{false: {done: make(chan struct{})}, true: {done: make(chan struct{})}}
+	rows := make([]FaultSweepRow, len(scenarios))
+	err := ev.runner.Tasks(context.Background(), len(refs)+len(scenarios), func(ctx context.Context, i int) error {
 		var (
 			inj         *fault.Injector
-			centralized bool
-		)
-		if i < 2 {
 			centralized = i == 1
-		} else {
+		)
+		if i >= 2 {
 			inj = injs[i-2]
 			centralized = scenarios[i-2].Centralized
 		}
-		run, err := ev.buildSweepSystem(combo, limit, inj, centralized, false)
+		tail := &powerTail{from: from, totals: make([]float64, 0, max(steps-from, 0))}
+		run, err := ev.buildSweepSystem(combo, limit, inj, centralized, false, tail)
 		if err != nil {
 			return err
 		}
 		if err := run.finish(ctx, dur); err != nil {
 			return err
 		}
-		runs[i] = run
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	healthy := map[bool]*sweepRun{false: runs[0], true: runs[1]}
-
-	sweep := &FaultSweep{Combo: combo, Limit: limit, Dur: dur, Seed: seed}
-	for si, sc := range scenarios {
-		inj := injs[si]
-		run := runs[2+si]
-		ref := healthy[sc.Centralized]
-
+		ref := refs[centralized]
+		if i < 2 {
+			ref.tail, ref.work = tail.totals, run.work
+			close(ref.done)
+			return nil
+		}
+		select {
+		case <-ref.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		sc := scenarios[i-2]
 		row := FaultSweepRow{
 			Name:          sc.Plan.Name,
 			Centralized:   sc.Centralized,
 			Counts:        inj.Counts(),
 			WatchdogTrips: map[string]int64{},
 		}
-		rec := run.sys.Engine.Recorder()
-		row.MaxOverLimit = rec.MaxWindowAvg(limit.Window) / limit.Watts
+		row.MaxOverLimit = run.sys.Engine.Recorder().MaxWindowAvg(limit.Window) / limit.Watts
 		row.Violated = row.MaxOverLimit > 1
 		if clamp := run.sys.Engine.Clamp(); clamp != nil {
 			row.ClampTrips = clamp.Trips()
@@ -308,30 +336,27 @@ func (ev *Evaluator) RunFaultSweep(combo Combo, limit config.PowerLimit, dur sim
 		}
 		row.ThroughputRetained = stats.Geomean(ratios...)
 
-		_, lastEnd := sc.Plan.Span()
-		if len(sc.Plan.Events) == 0 {
+		if _, lastEnd := sc.Plan.Span(); len(sc.Plan.Events) == 0 {
 			row.Recovered = true
 		} else {
-			row.RecoveryTime, row.Recovered = recoveryTime(
-				run.totals, ref.totals, ev.Cfg.TimeStep, lastEnd)
+			row.RecoveryTime, row.Recovered = recoveryTime(tail.totals, ref.tail, int(from), ev.Cfg.TimeStep, lastEnd)
 		}
-		sweep.Rows = append(sweep.Rows, row)
+		rows[i-2] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return sweep, nil
+	return &FaultSweep{Combo: combo, Limit: limit, Dur: dur, Seed: seed, Rows: rows}, nil
 }
 
-// recoveryTime scans the faulted and healthy power traces after the last
-// fault cleared and returns how long until the faulted trace stays
-// within recoveryTolerance of the healthy one for recoverySustain.
-func recoveryTime(faulted, healthy []float64, dt sim.Time, lastEnd sim.Time) (sim.Time, bool) {
-	n := len(faulted)
-	if len(healthy) < n {
-		n = len(healthy)
-	}
-	start := int(lastEnd / dt)
-	if start < 0 {
-		start = 0
-	}
+// recoveryTime scans the faulted and healthy power traces, both kept
+// from step from on, after the last fault cleared and returns how long
+// until the faulted trace stays within recoveryTolerance of the healthy
+// one for recoverySustain.
+func recoveryTime(faulted, healthy []float64, from int, dt sim.Time, lastEnd sim.Time) (sim.Time, bool) {
+	n := min(len(faulted), len(healthy))
+	start := max(int(lastEnd/dt)-from, 0)
 	sustain := int(recoverySustain / dt)
 	if sustain < 1 {
 		sustain = 1
@@ -345,7 +370,7 @@ func recoveryTime(faulted, healthy []float64, dt sim.Time, lastEnd sim.Time) (si
 		if diff <= recoveryTolerance*healthy[i] {
 			run++
 			if run >= sustain {
-				first := i - sustain + 1
+				first := from + i - sustain + 1
 				rt := sim.Time(first)*dt - lastEnd
 				if rt < 0 {
 					rt = 0

@@ -11,9 +11,9 @@ import (
 	"hcapp/internal/telemetry"
 )
 
-func runSweep(t *testing.T, seed int64) *FaultSweep {
+func runSweep(t *testing.T, seed int64, runner *Runner) *FaultSweep {
 	t.Helper()
-	ev := shortEvaluator()
+	ev := shortEvaluator().WithRunner(runner)
 	combo := mustCombo2(t, "Mid-Mid")
 	sweep, err := ev.RunFaultSweep(combo, config.PackagePinLimit(), 2*sim.Millisecond, seed)
 	if err != nil {
@@ -24,10 +24,12 @@ func runSweep(t *testing.T, seed int64) *FaultSweep {
 
 // TestFaultSweepDeterministic is the ISSUE's reproducibility criterion:
 // the same combo, limit, duration and seed must yield the identical
-// resilience table, bit for bit, across independent evaluators.
+// resilience table, bit for bit, across independent evaluators, run
+// sequentially or four wide (where scenarios wait on their healthy
+// references across tasks).
 func TestFaultSweepDeterministic(t *testing.T) {
-	a := runSweep(t, 7)
-	b := runSweep(t, 7)
+	a := runSweep(t, 7, nil)
+	b := runSweep(t, 7, NewRunner(4))
 	// Combo holds trace-builder funcs, which DeepEqual can't compare;
 	// the rows are the sweep's entire measured output.
 	if !reflect.DeepEqual(a.Rows, b.Rows) {
@@ -38,7 +40,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 		t.Fatal("sweep headers differ across identical runs")
 	}
 	// A different seed must actually change the stochastic draws.
-	c := runSweep(t, 8)
+	c := runSweep(t, 8, nil)
 	same := true
 	for i := range a.Rows {
 		if a.Rows[i].Counts != c.Rows[i].Counts {
@@ -55,7 +57,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 // holdover and watchdogs armed, no sweep scenario — including the
 // sensor lying far below truth — may violate the package-pin window cap.
 func TestFaultSweepSafety(t *testing.T) {
-	sweep := runSweep(t, 42)
+	sweep := runSweep(t, 42, nil)
 	if len(sweep.Rows) != len(DefaultFaultPlans(sweep.Dur, sweep.Seed)) {
 		t.Fatalf("sweep has %d rows, want %d", len(sweep.Rows),
 			len(DefaultFaultPlans(sweep.Dur, sweep.Seed)))
@@ -108,7 +110,7 @@ func TestFaultSweepSafety(t *testing.T) {
 // TestFaultSweepPublish: the sweep's tallies surface as telemetry
 // counters, one series set per scenario.
 func TestFaultSweepPublish(t *testing.T) {
-	sweep := runSweep(t, 42)
+	sweep := runSweep(t, 42, nil)
 	reg := telemetry.NewRegistry()
 	m := fault.NewMetrics(reg)
 	sweep.Publish(m)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hcapp/internal/config"
+	"hcapp/internal/sched"
 	"hcapp/internal/sim"
 	"hcapp/internal/trace"
 )
@@ -24,46 +25,40 @@ func comboNames() []string {
 // workload; Hi-Hi is the closest suite member. Returns the normalized
 // series and the average power in watts.
 func (ev *Evaluator) Fig1(combo Combo, sampleEvery sim.Time) ([]trace.Point, float64, error) {
-	rec, err := ev.staticRun(combo)
-	if err != nil {
-		return nil, 0, err
-	}
-	avg := rec.AvgPower()
-	return trace.Normalize(rec.Series(sampleEvery), avg), avg, nil
+	series, avg, err := ev.Fig2(combo, []sim.Time{sampleEvery}, sampleEvery)
+	return series[sampleEvery], avg, err
 }
 
 // Fig2 reproduces Figure 2: the same static trace viewed through
 // different power-limit time windows. Peaks visible at 20 µs vanish at
 // 1 ms and 10 ms — the behaviour firmware/software controllers cannot
 // see without guardbanding. Returns one normalized series per window.
-func (ev *Evaluator) Fig2(combo Combo, windows []sim.Time, sampleEvery sim.Time) (map[sim.Time][]trace.Point, float64, error) {
-	rec, err := ev.staticRun(combo)
-	if err != nil {
-		return nil, 0, err
-	}
-	avg := rec.AvgPower()
-	out := make(map[sim.Time][]trace.Point, len(windows))
-	for _, w := range windows {
-		out[w] = trace.Normalize(rec.WindowSeries(w, sampleEvery), avg)
-	}
-	return out, avg, nil
-}
-
-// staticRun is the Fig. 1 / Fig. 2 run: combo on the fixed-voltage
-// rail for exactly TargetDur, idle tails included. It runs as a
-// one-task batch, so it holds one of the runner's slots like every
-// other simulation.
-func (ev *Evaluator) staticRun(combo Combo) (rec *trace.Recorder, err error) {
+//
+// The static run is combo on the fixed-voltage rail for exactly
+// TargetDur, idle tails included, with a step observer averaging its
+// power over each window as it goes. It runs as a one-task batch, so it
+// holds one of the runner's slots like every other simulation.
+func (ev *Evaluator) Fig2(combo Combo, windows []sim.Time, sampleEvery sim.Time) (out map[sim.Time][]trace.Point, avg float64, err error) {
 	err = ev.runner.Tasks(context.Background(), 1, func(context.Context, int) error {
-		sys, _, err := ev.BuildSized(RunSpec{Combo: combo, Scheme: ev.FixedScheme()}, nil)
+		total := make(sched.TotalSeries, len(windows))
+		for i, w := range windows {
+			total[i] = trace.NewSeries(ev.Cfg.TimeStep, w, sampleEvery)
+		}
+		sys, _, err := ev.BuildSized(RunSpec{Combo: combo, Scheme: ev.FixedScheme()}, func(o *BuildOptions) {
+			o.Observer = sched.Observers(o.Observer, total)
+		})
 		if err != nil {
 			return err
 		}
 		sys.Engine.RunFor(ev.TargetDur)
-		rec = sys.Engine.Recorder()
+		avg = sys.Engine.Recorder().AvgPower()
+		out = make(map[sim.Time][]trace.Point, len(windows))
+		for i, w := range windows {
+			out[w] = trace.Normalize(total[i].Points(), avg)
+		}
 		return nil
 	})
-	return rec, err
+	return out, avg, err
 }
 
 // schemeSuiteSpecs builds the scheme-major spec batch behind the figure

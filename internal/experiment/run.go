@@ -387,16 +387,9 @@ func (ev *Evaluator) runUncached(ctx context.Context, specs []RunSpec) ([]RunRes
 
 // runVariant builds spec through BuildSized with mutate applied last
 // and runs it to the horizon under ctx (uncached: the mutation is not
-// part of any cache key). Only the RunResult outlives the system, so
-// its recorder keeps the limit window's sums instead of a sample per
-// step, which was most of what a run allocated.
+// part of any cache key).
 func (ev *Evaluator) runVariant(ctx context.Context, spec RunSpec, mutate func(*BuildOptions)) (RunResult, error) {
-	_, run, err := ev.BuildSized(spec, func(o *BuildOptions) {
-		o.powerWindow = spec.Limit.Window
-		if mutate != nil {
-			mutate(o)
-		}
-	})
+	_, run, err := ev.BuildSized(spec, mutate)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -407,9 +400,9 @@ func (ev *Evaluator) runVariant(ctx context.Context, spec RunSpec, mutate func(*
 // built: work pools sized against the fixed-voltage baseline, the
 // supervisor spec.Policy names, PSPEC for spec.Limit unless the scheme
 // is fixed-voltage, the evaluator's Observer and TrackEnergy, and then
-// mutate (when non-nil) last. run takes the system to the evaluator's
-// horizon under ctx and returns its metrics; fixed-length traces drive
-// sys.Engine directly instead.
+// mutate (when non-nil) last; its recorder keeps spec.Limit's window.
+// run takes the system to the evaluator's horizon under ctx and returns
+// its metrics; fixed-length traces drive sys.Engine directly instead.
 func (ev *Evaluator) BuildSized(spec RunSpec, mutate func(*BuildOptions)) (sys *System, run func(context.Context) (RunResult, error), err error) {
 	return ev.buildSized(ev.Cfg, spec, mutate)
 }
@@ -444,7 +437,7 @@ func (ev *Evaluator) buildSized(cfg config.SystemConfig, spec RunSpec, mutate fu
 	if mutate != nil {
 		mutate(&opts)
 	}
-	sys, err := Build(cfg, spec.Combo, opts)
+	sys, err := build(cfg, spec.Combo, opts, []sim.Time{spec.Limit.Window})
 	if err != nil {
 		return nil, nil, err
 	}

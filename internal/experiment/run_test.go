@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -365,50 +364,119 @@ func TestEvaluatorDeterminism(t *testing.T) {
 	}
 }
 
-// TestEvaluatorRunKeepsNoPowerSeries: an evaluator run, whose recorder
-// keeps only the limit window's sums, returns the RunResult of the
-// same system built through BuildSized, whose recorder keeps a sample
-// per step; and it allocates less than that series alone would take.
+// TestEvaluatorRunKeepsNoPowerSeries is the horizon guard on every
+// driver that reduces a run: going from a 2 ms to an 8 ms horizon, the
+// bytes a BuildSized run, Fig. 1, Fig. 2, the retarget run and the
+// fault sweep allocate may grow by a budget per output sample and, for
+// the fault sweep, by the post-fault power tails its recovery scan
+// reads, but not per step. A per-step power series (8 bytes a step,
+// more with append slack and prefix sums) grows a run by about 0.5 MB
+// and more; the budgets below are a few kilobytes.
 func TestEvaluatorRunKeepsNoPowerSeries(t *testing.T) {
 	combo, err := ComboByName("Burst-Burst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed := NewEvaluator().FixedScheme()
-	for _, spec := range []RunSpec{
-		hcappSpec(combo, config.PackagePinLimit()),
-		{Combo: combo, Scheme: fixed, Limit: config.PackagePinLimit()},
-		hcappSpec(combo, config.OffPackageVRLimit()),
-	} {
-		// One evaluator for both, so the trace sets are built before
-		// the measured run.
-		ev := NewEvaluator().WithTargetDur(2 * sim.Millisecond)
-		sys, run, err := ev.BuildSized(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		seriesBytes := uint64(sys.Engine.Recorder().Steps()) * 8
+	const short, long = 2 * sim.Millisecond, 8 * sim.Millisecond
+	const sample = 20 * sim.Microsecond
+	dt := config.Default().TimeStep
+	// Every extra Fig. 1 / Fig. 2 output sample is one 16-byte Point,
+	// with append slack.
+	const perSample = 64
+	extraSamples := uint64((long - short) / sample)
+	// Each fault-sweep run keeps its power from the last fault's end
+	// (half the horizon) on, in one allocation sized up front: 8 bytes
+	// a tail step, rounded up to whole 8 KiB pages. The centralized
+	// controller's ticks leave some garbage as well, about 70 kB per
+	// centralized run over the extra 6 ms.
+	sweepRuns := uint64(2 + len(DefaultFaultPlans(long, 7)))
+	tailBytes := sweepRuns * (8*uint64((long-short)/2/dt) + 8<<10)
+	const centralTicks = 256 << 10
 
+	drivers := []struct {
+		name   string
+		budget uint64
+		run    func(ev *Evaluator) error
+	}{
+		{"BuildSized run", 16 << 10, func(ev *Evaluator) error {
+			_, run, err := ev.BuildSized(hcappSpec(combo, config.OffPackageVRLimit()), nil)
+			if err == nil {
+				_, err = run(context.Background())
+			}
+			return err
+		}},
+		{"Fig1", extraSamples * perSample, func(ev *Evaluator) error {
+			_, _, err := ev.Fig1(combo, sample)
+			return err
+		}},
+		{"Fig2", 2 * extraSamples * perSample, func(ev *Evaluator) error {
+			_, _, err := ev.Fig2(combo, []sim.Time{20 * sim.Microsecond, sim.Millisecond}, sample)
+			return err
+		}},
+		{"RunRetarget", 16 << 10, func(ev *Evaluator) error {
+			_, err := ev.RunRetarget(combo)
+			return err
+		}},
+		{"RunFaultSweep", tailBytes + centralTicks, func(ev *Evaluator) error {
+			_, err := ev.RunFaultSweep(combo, config.PackagePinLimit(), 0, 7)
+			return err
+		}},
+	}
+	for _, d := range drivers {
+		// One evaluator, warmed at both horizons, so its trace sets
+		// are built before either measured run.
+		ev := NewEvaluator()
+		allocated := func(dur sim.Time) uint64 {
+			ev.WithTargetDur(dur)
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := d.run(ev); err != nil {
+				t.Fatalf("%s: %v", d.name, err)
+			}
+			runtime.ReadMemStats(&m1)
+			return m1.TotalAlloc - m0.TotalAlloc
+		}
+		allocated(short)
+		allocated(long)
+		a, b := allocated(short), allocated(long)
+		growth := int64(b) - int64(a)
+		t.Logf("%s: %d bytes at 2 ms, %d at 8 ms: grows %d, budget %d", d.name, a, b, growth, d.budget)
+		if growth > int64(d.budget) {
+			t.Errorf("%s allocates %d more bytes at 8 ms than at 2 ms, over its budget of %d: it keeps something per step", d.name, growth, d.budget)
+		}
+	}
+}
+
+// TestWireLimitWindowGrowsWithRun: a limit window arrives from the wire
+// unchecked in a fleet run request. Its recorder's ring grows with the
+// run, up to the window, so a 1 s window over a 1 ms run — 10^7 steps
+// of window, 3·10^4 of run at most — allocates under 1 MB, and a window
+// of 2^62 ns neither panics nor asks for memory it will not use.
+func TestWireLimitWindowGrowsWithRun(t *testing.T) {
+	combo, err := ComboByName("Burst-Burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator().WithTargetDur(sim.Millisecond)
+	for _, window := range []sim.Time{sim.Second, 1e13, 1 << 62} {
+		spec := hcappSpec(combo, config.PowerLimit{Name: "wire", Watts: 100, Window: window})
+		if _, err := ev.Simulate(context.Background(), spec); err != nil { // warm the trace sets
+			t.Fatal(err)
+		}
+		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		got, err := ev.Run(spec)
+		r, err := ev.Simulate(context.Background(), spec)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := string(spec.Scheme.Kind) + " under " + spec.Limit.Name
-		got.Spec, want.Spec = RunSpec{}, RunSpec{} // combos hold funcs
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: evaluator run\n%+v\nwant the series recorder's\n%+v", name, got, want)
+		if r.MaxWindowPower != r.AvgPower {
+			t.Fatalf("window %d ns over a %d ns run: max window power %v, want the run average %v", window, r.Duration, r.MaxWindowPower, r.AvgPower)
 		}
-		alloc := m1.TotalAlloc - m0.TotalAlloc
-		t.Logf("%s: %d steps, the evaluator run allocated %d bytes", name, seriesBytes/8, alloc)
-		if alloc >= seriesBytes {
-			t.Fatalf("%s: the evaluator run allocated %d bytes, not under the %d-byte series of its steps", name, alloc, seriesBytes)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("a %d ns window over a 1 ms run allocated %d bytes, want under 1 MiB", window, alloc)
 		}
 	}
 }

@@ -187,14 +187,15 @@ func runScalingCell(ctx context.Context, cfg config.SystemConfig, sc ScalingConf
 	}
 	specs = append(specs, ChipletSpec{Kind: "mem", Watts: cfg.Mem.Power * float64(n)})
 	cfg.DroopOhms /= float64(n)
-	eng, err := BuildTopology(cfg, Topology{Chiplets: specs}, BuildOptions{
+	sys, err := assemble(cfg, Topology{Chiplets: specs}, BuildOptions{
 		Scheme:      config.Scheme{Kind: config.HCAPP, ControlPeriod: period},
 		TargetPower: limit * 0.86,
 		Observer:    obs,
-	})
+	}, []sim.Time{sc.Window})
 	if err != nil {
 		return 0, 0, err
 	}
+	eng := sys.Engine
 	eng.RunWithCancel(sc.Dur, func() bool { return ctx.Err() != nil })
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err

@@ -40,15 +40,16 @@ type Topology struct {
 }
 
 // BuildTopology assembles a custom package through the same assembler
-// as Build, so every BuildOptions control applies to it; Priorities are
-// keyed by chiplet name. The paper package's work pools (CPUWork,
-// GPUWork, AccelWorkGB) must be zero: Topology.SizingDur and each
-// ChipletSpec.WorkScale size a topology.
+// as Build, so every BuildOptions control applies to it and its
+// recorder keeps the same windows; Priorities are keyed by chiplet
+// name. The paper package's work pools (CPUWork, GPUWork, AccelWorkGB)
+// must be zero: Topology.SizingDur and each ChipletSpec.WorkScale size
+// a topology.
 func BuildTopology(cfg config.SystemConfig, topo Topology, opts BuildOptions) (*sched.Engine, error) {
 	if opts.CPUWork != 0 || opts.GPUWork != 0 || opts.AccelWorkGB != 0 {
 		return nil, fmt.Errorf("experiment: a topology sizes its work with SizingDur and WorkScale, not CPUWork/GPUWork/AccelWorkGB")
 	}
-	sys, err := assemble(cfg, topo, opts)
+	sys, err := assemble(cfg, topo, opts, paperWindows)
 	if err != nil {
 		return nil, err
 	}

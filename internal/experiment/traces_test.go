@@ -197,7 +197,7 @@ func TestTraceSetsKeyOnBenchmarkDefinition(t *testing.T) {
 		sys, err := assemble(cfg, topo, BuildOptions{
 			Scheme: config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95},
 			traces: traces,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

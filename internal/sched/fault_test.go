@@ -50,7 +50,7 @@ func faultParts(t *testing.T, o faultOpts) (*Engine, *cubicLoad) {
 		dom.EnableWatchdog(o.watchdog)
 	}
 	load := newCubicLoad("load", 80/(0.95*0.95*0.95), 0, 1e6)
-	rec := trace.MustRecorder(dt)
+	rec := trace.MustRecorder(dt, 20*sim.Microsecond)
 	eng := MustNew(Config{
 		DT:       dt,
 		GlobalVR: gvr,
@@ -69,10 +69,12 @@ func faultParts(t *testing.T, o faultOpts) (*Engine, *cubicLoad) {
 // no active events must be behaviorally invisible — the power trace is
 // bit-identical to a run without any injector.
 func TestIdleInjectorMatchesNilTrace(t *testing.T) {
-	run := func(inj *fault.Injector) []float64 {
+	run := func(inj *fault.Injector) TotalLog {
 		eng, _ := faultParts(t, faultOpts{injector: inj})
+		var log TotalLog
+		eng.SetObserver(&log)
 		eng.RunFor(200 * sim.Microsecond)
-		return append([]float64(nil), eng.Recorder().Totals()...)
+		return log
 	}
 	bare := run(nil)
 	idle := run(fault.MustNew(fault.Plan{Name: "healthy", Seed: 42}))
@@ -95,13 +97,14 @@ func TestInjectedRunIsDeterministic(t *testing.T) {
 		{Class: fault.RailDroop, Start: 80 * sim.Microsecond, End: 100 * sim.Microsecond, Param: 0.03},
 	}}
 	eng, _ := faultParts(t, faultOpts{injector: fault.MustNew(plan)})
+	var first, second TotalLog
+	eng.SetObserver(&first)
 	eng.RunFor(200 * sim.Microsecond)
-	first := append([]float64(nil), eng.Recorder().Totals()...)
 	counts := eng.Injector().Counts()
 
 	eng.Reset()
+	eng.SetObserver(&second)
 	eng.RunFor(200 * sim.Microsecond)
-	second := eng.Recorder().Totals()
 	if len(first) != len(second) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(first), len(second))
 	}

@@ -87,3 +87,15 @@ func (s *Sampler) Voltage(domain string) []trace.Point {
 	}
 	return nil
 }
+
+// TotalSeries is a StepObserver that feeds the package total power of
+// every step, a stride's steps one by one, into each of its series: the
+// Fig. 1 and Fig. 2 traces, computed as the run goes.
+type TotalSeries []*trace.Series
+
+// ObserveSteps implements StepObserver.
+func (ts TotalSeries) ObserveSteps(_, _ sim.Time, n int64, total float64, _ []DomainSample) {
+	for _, s := range ts {
+		s.RecordN(total, int(n))
+	}
+}

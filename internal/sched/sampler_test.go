@@ -23,6 +23,18 @@ type SlotLog struct {
 	Voltage [][]float64 // [slot][step]
 }
 
+// TotalLog is a StepObserver that logs the package total power of every
+// observed step, a call's n steps one by one: the per-step series the
+// recorder does not keep, so two runs' traces can be compared bit for
+// bit. It is exported to the external test package through this file.
+type TotalLog []float64
+
+func (l *TotalLog) ObserveSteps(_, _ sim.Time, n int64, total float64, _ []DomainSample) {
+	for ; n > 0; n-- {
+		*l = append(*l, total)
+	}
+}
+
 // NewSlotLog returns a log for eng's slots; attach it with
 // eng.SetObserver.
 func NewSlotLog(eng *Engine) *SlotLog {

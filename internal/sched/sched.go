@@ -120,7 +120,8 @@ type Config struct {
 	// baseline (the global VR holds its initial voltage forever).
 	Global *core.Global
 	Slots  []Slot
-	// Recorder receives the power trace; required.
+	// Recorder reduces every step's package power to the run's average
+	// and window maxima, keeping no series; required.
 	Recorder *trace.Recorder
 	// Supervisor, when non-nil, runs on its own period (software
 	// control on top of HCAPP, §5.3/§6).
@@ -765,7 +766,7 @@ func (e *Engine) allDone() bool {
 // Now returns the current simulated time.
 func (e *Engine) Now() sim.Time { return e.now }
 
-// Recorder returns the engine's trace recorder.
+// Recorder returns the engine's power recorder.
 func (e *Engine) Recorder() *trace.Recorder { return e.cfg.Recorder }
 
 // Sensor returns the package power sensor (fault injection, tests).

@@ -74,7 +74,7 @@ func testParts(t *testing.T, withGlobal bool, work float64) (*Engine, *cubicLoad
 	}
 	dom := core.MustDomain("load", domCfg)
 	load := newCubicLoad("load", 80/(0.95*0.95*0.95), work, 1e6)
-	rec := trace.MustRecorder(dt)
+	rec := trace.MustRecorder(dt, dt)
 	eng := MustNew(Config{
 		DT:       dt,
 		GlobalVR: gvr,
@@ -183,10 +183,11 @@ func TestGlobalControlDrivesPowerToTarget(t *testing.T) {
 	eng, _ := testParts(t, true, 0)
 	// Load draws 80 W at 0.95 V and the target is 80 W: the controller
 	// should hold the rail near 0.95 and power near 80.
+	total := trace.NewSeries(dt, 10*sim.Microsecond, 10*sim.Microsecond)
+	eng.SetObserver(TotalSeries{total})
 	eng.RunFor(200 * sim.Microsecond)
-	rec := eng.Recorder()
 	// Skip the startup transient by averaging the second half.
-	pts := rec.Series(10 * sim.Microsecond)
+	pts := total.Points()
 	tail := pts[len(pts)/2:]
 	sum := 0.0
 	for _, p := range tail {

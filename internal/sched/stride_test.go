@@ -75,13 +75,13 @@ func buildSystem(tb testing.TB, comboName string, scheme config.Scheme, dur sim.
 
 var fixedRail = config.Scheme{Kind: config.FixedVoltage, FixedV: 0.95}
 
-// requireIdenticalTraces compares two completed runs bit for bit.
-func requireIdenticalTraces(t *testing.T, label string, f, s *experiment.System, rf, rs sched.Result) {
+// requireIdenticalTraces compares two completed runs, and the per-step
+// power traces logged from them, bit for bit.
+func requireIdenticalTraces(t *testing.T, label string, ft, st sched.TotalLog, rf, rs sched.Result) {
 	t.Helper()
 	if rf.Duration != rs.Duration || rf.Completed != rs.Completed || rf.ControlCycles != rs.ControlCycles {
 		t.Fatalf("%s: run outcome diverges: fixed %+v strided %+v", label, rf, rs)
 	}
-	ft, st := f.Engine.Recorder().Totals(), s.Engine.Recorder().Totals()
 	if len(ft) != len(st) {
 		t.Fatalf("%s: trace lengths diverge: %d vs %d", label, len(ft), len(st))
 	}
@@ -100,13 +100,20 @@ func TestStridedMatchesFixedTraces(t *testing.T) {
 	const dur = 2 * sim.Millisecond
 	strided := int64(0)
 	for _, name := range []string{"Burst-Burst", "Hi-Hi", "Mid-Mid"} {
-		f, s := paired(func() *experiment.System { return buildSystem(t, name, fixedRail, dur, nil, false) })
-		rf, rs := f.Engine.Run(2*dur), s.Engine.Run(2*dur)
-		requireIdenticalTraces(t, name, f, s, rf, rs)
-		if f.Engine.StridedSteps() != 0 {
+		type run struct {
+			sys   *experiment.System
+			total *sched.TotalLog
+		}
+		f, s := paired(func() run {
+			total := new(sched.TotalLog)
+			return run{buildSystem(t, name, fixedRail, dur, total, false), total}
+		})
+		rf, rs := f.sys.Engine.Run(2*dur), s.sys.Engine.Run(2*dur)
+		requireIdenticalTraces(t, name, *f.total, *s.total, rf, rs)
+		if f.sys.Engine.StridedSteps() != 0 {
 			t.Fatalf("%s: the fixed-step reference strided", name)
 		}
-		strided += s.Engine.StridedSteps()
+		strided += s.sys.Engine.StridedSteps()
 	}
 	if strided == 0 {
 		t.Fatal("no combo strided at all — striding is not engaging")
@@ -220,14 +227,15 @@ func TestObservedEngineStrides(t *testing.T) {
 		scheme config.Scheme
 	}{{"Burst-Burst", fixedRail}, {"Burst-Burst", hcapp}} {
 		type run struct {
-			sys *experiment.System
-			log *stepLog
-			res sched.Result
+			sys   *experiment.System
+			log   *stepLog
+			total *sched.TotalLog
+			res   sched.Result
 		}
 		f, s := paired(func() run {
-			log := &stepLog{}
-			sys := buildSystem(t, c.combo, c.scheme, dur, log, true)
-			return run{sys, log, sys.Engine.Run(2 * dur)}
+			log, total := &stepLog{}, new(sched.TotalLog)
+			sys := buildSystem(t, c.combo, c.scheme, dur, sched.Observers(log, total), true)
+			return run{sys, log, total, sys.Engine.Run(2 * dur)}
 		})
 		label := c.combo + "/" + string(c.scheme.Kind)
 		if s.sys.Engine.StridedSteps() == 0 {
@@ -237,7 +245,7 @@ func TestObservedEngineStrides(t *testing.T) {
 			t.Fatalf("%s: observer saw %d steps in %d calls (gap %v), engine took %d",
 				label, s.log.steps, s.log.calls, s.log.gap, s.sys.Engine.Steps())
 		}
-		requireIdenticalTraces(t, label, f.sys, s.sys, f.res, s.res)
+		requireIdenticalTraces(t, label, *f.total, *s.total, f.res, s.res)
 		if f.log.energy != s.log.energy || f.log.domainVolts != s.log.domainVolts {
 			t.Fatalf("%s: observer sums diverge: fixed %+v strided %+v", label, *f.log, *s.log)
 		}
@@ -397,7 +405,14 @@ func TestStrideSpeedupGate(t *testing.T) {
 			}
 		}) / probeRepeat
 	}
-	requireIdenticalTraces(t, "Burst-Burst", fixed, strided, rf, rs)
+	// One more run of each, untimed, logs the per-step traces to compare.
+	var ft, st sched.TotalLog
+	fixed.Engine.SetObserver(&ft)
+	strided.Engine.SetObserver(&st)
+	fixed.Engine.Reset()
+	strided.Engine.Reset()
+	rf, rs = fixed.Engine.Run(2*dur), strided.Engine.Run(2*dur)
+	requireIdenticalTraces(t, "Burst-Burst", ft, st, rf, rs)
 
 	steps := fixed.Engine.Steps()
 	var fixedNorm, stridedNorm [trials]float64

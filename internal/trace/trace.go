@@ -1,65 +1,65 @@
-// Package trace records per-step package power during a run and computes
-// the power-limit metrics of the paper's evaluation: the maximum power
-// over a sliding time window (the form every power limit takes, §1), the
-// Provisioned Power Efficiency (Eq. 4), and down-sampled series for the
-// Fig. 1 / Fig. 2 style plots.
+// Package trace reduces per-step package power online into the
+// power-limit metrics of the paper's evaluation: the maximum power over
+// a sliding time window (the form every power limit takes, §1), the
+// Provisioned Power Efficiency (Eq. 4), and down-sampled window series
+// for the Fig. 1 / Fig. 2 style plots. Nothing here keeps a sample per
+// step: memory is one window, not one run.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"hcapp/internal/sim"
 )
 
-// Recorder accumulates one power sample per engine step.
-type Recorder struct {
-	dt      sim.Time
-	total   []float64
-	prefix  []float64 // lazy prefix sums over total
-	prefixN int
-	// win, when set, replaces the series: see NewWindowRecorder.
-	win *windowSums
+// window is the running state of one trailing window of k samples: the
+// last k samples and the prefix sum one window behind the caller's
+// running sum and, for a recorder, the largest window sum so far.
+// Division by a fixed k is monotone, so the largest sum divided by k is
+// the largest of the window averages, bit for bit.
+type window struct {
+	k    int
+	ring []float64 // the last min(k, samples) samples; once full, next is the oldest
+	next int
+	lag  float64  // prefix sum over every sample but the last k
+	span sim.Time // the window as declared
+	max  float64
 }
 
-// windowSums is the running state of a recorder that keeps no series:
-// the prefix sum over every sample, the prefix sum one window behind
-// it, and the largest window average so far. The arithmetic is the
-// series recorder's own, term for term, so both give bit-identical
-// AvgPower and MaxWindowAvg.
-type windowSums struct {
-	window sim.Time
-	k      int       // window in steps
-	ring   []float64 // the last k samples; next is the oldest
-	next   int
-	n      int     // samples recorded
-	sum    float64 // prefix sum over all n samples
-	lag    float64 // prefix sum over the first n-k samples, once n >= k
-	max    float64 // largest window average over a full window
-}
-
-// NewRecorder returns a recorder for steps of dt.
-func NewRecorder(dt sim.Time) (*Recorder, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("trace: non-positive timestep %d", dt)
+// add takes sample x and sum, the running prefix sum through x. Once k
+// samples are in, it returns the window's sum — sum minus the prefix
+// sum k samples back, the same float prefix[i]−prefix[i−k] gives — and
+// true. While the ring fills, its capacity doubles, up to k, so a
+// window longer than the run costs at most twice the run.
+func (w *window) add(x, sum float64) (float64, bool) {
+	if len(w.ring) == w.k {
+		return w.slide(x, sum), true
 	}
-	return &Recorder{dt: dt}, nil
+	if len(w.ring) == cap(w.ring) {
+		grown := make([]float64, len(w.ring), min(max(2*len(w.ring), 64), w.k))
+		copy(grown, w.ring)
+		w.ring = grown
+	}
+	if w.ring = append(w.ring, x); len(w.ring) < w.k {
+		return 0, false
+	}
+	d := sum - w.lag
+	w.lag += w.ring[w.next]
+	return d, true
 }
 
-// NewWindowRecorder returns a recorder for steps of dt that keeps only
-// what AvgPower, PPE and MaxWindowAvg over window need: memory of one
-// window, not one sample per step. It holds no series, so Totals,
-// Series and WindowSeries see no samples, and MaxWindowAvg answers for
-// window alone.
-func NewWindowRecorder(dt, window sim.Time) (*Recorder, error) {
-	r, err := NewRecorder(dt)
-	if err != nil {
-		return nil, err
+// slide is add on a full ring: it makes no call, so it inlines into
+// the recorder's steady-state loops.
+func (w *window) slide(x, sum float64) float64 {
+	w.ring[w.next] = x
+	if w.next++; w.next == w.k {
+		w.next = 0
 	}
-	k := windowSteps(window, dt)
-	r.win = &windowSums{window: window, k: k, ring: make([]float64, k), max: math.Inf(-1)}
-	return r, nil
+	d := sum - w.lag
+	// The sample now leaving the window is the ring's oldest.
+	w.lag += w.ring[w.next]
+	return d
 }
 
 // windowSteps is window in whole steps of dt, at least one.
@@ -67,123 +67,118 @@ func windowSteps(window, dt sim.Time) int {
 	return max(int(window/dt), 1)
 }
 
-// add records one sample into the running sums.
-func (w *windowSums) add(x float64) {
-	w.ring[w.next] = x
-	w.sum += x
-	w.n++
-	if w.next++; w.next == w.k {
-		w.next = 0
+// Recorder reduces one power sample per engine step into the run's
+// average power and, for each window declared when it was made, the
+// largest average over that window.
+type Recorder struct {
+	dt     sim.Time
+	n      int
+	sum    float64 // running prefix sum over all n samples
+	filled int     // samples after which every ring is full: the longest window
+	wins   []window
+}
+
+// NewRecorder returns a recorder for steps of dt that answers
+// MaxWindowAvg for each of windows (windows of the same whole number of
+// steps share one reduction).
+func NewRecorder(dt sim.Time, windows ...sim.Time) (*Recorder, error) {
+	if dt <= 0 {
+		return nil, fmt.Errorf("trace: non-positive timestep %d", dt)
 	}
-	if w.n < w.k {
-		return
+	r := &Recorder{dt: dt}
+	for _, span := range windows {
+		if k := windowSteps(span, dt); r.find(k) == nil {
+			r.wins = append(r.wins, window{k: k, span: span, max: math.Inf(-1)})
+			r.filled = max(r.filled, k)
+		}
 	}
-	if avg := (w.sum - w.lag) / float64(w.k); avg > w.max {
-		w.max = avg
-	}
-	// The sample now leaving the window is the ring's oldest.
-	w.lag += w.ring[w.next]
+	return r, nil
 }
 
 // MustRecorder is NewRecorder that panics on invalid input.
-func MustRecorder(dt sim.Time) *Recorder {
-	r, err := NewRecorder(dt)
+func MustRecorder(dt sim.Time, windows ...sim.Time) *Recorder {
+	r, err := NewRecorder(dt, windows...)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-// Record appends one step's total package power.
-func (r *Recorder) Record(total float64) {
-	if r.win != nil {
-		r.win.add(total)
-		return
+// find returns the reduction over k steps, or nil.
+func (r *Recorder) find(k int) *window {
+	for i := range r.wins {
+		if r.wins[i].k == k {
+			return &r.wins[i]
+		}
 	}
-	r.total = append(r.total, total)
+	return nil
 }
 
-// RecordN appends n identical total-power samples — the recorder half
-// of a steady-state stride: one capacity check, then a fill.
-func (r *Recorder) RecordN(total float64, n int) {
-	if n <= 0 {
-		return
-	}
-	if r.win != nil {
-		for range n {
-			r.win.add(total)
+// Record takes one step's total package power. While a ring is still
+// filling, each window takes the sample through add; after that, the
+// loop makes no call, so Record keeps nothing on the stack.
+func (r *Recorder) Record(total float64) {
+	r.sum += total
+	if r.n++; r.n <= r.filled {
+		for i := range r.wins {
+			w := &r.wins[i]
+			if d, full := w.add(total, r.sum); full && d > w.max {
+				w.max = d
+			}
 		}
 		return
 	}
-	start := len(r.total)
-	r.total = slices.Grow(r.total, n)[:start+n]
-	tail := r.total[start:]
-	for i := range tail {
-		tail[i] = total
+	wins, sum := r.wins, r.sum
+	for i := range wins {
+		w := &wins[i]
+		if d := w.slide(total, sum); d > w.max {
+			w.max = d
+		}
 	}
 }
 
-// Grow reserves capacity for n more steps, so a sized run appends
-// without reallocating — the preallocation the engine's zero-alloc
-// steady-state guard relies on.
-func (r *Recorder) Grow(n int) {
-	if n <= 0 || r.win != nil {
-		return
+// RecordN takes n identical total-power samples — the recorder half of
+// a steady-state stride — one by one, so the sums are those of n
+// Record calls; once the rings are full, each window takes the whole
+// stride in one tight loop.
+func (r *Recorder) RecordN(total float64, n int) {
+	for ; n > 0 && r.n < r.filled; n-- {
+		r.Record(total)
 	}
-	if cap(r.total)-len(r.total) < n {
-		grown := make([]float64, len(r.total), len(r.total)+n)
-		copy(grown, r.total)
-		r.total = grown
+	sum := r.sum
+	for i := range r.wins {
+		w := &r.wins[i]
+		sum = r.sum
+		for range n {
+			sum += total
+			if d := w.slide(total, sum); d > w.max {
+				w.max = d
+			}
+		}
 	}
+	if len(r.wins) == 0 {
+		for range n {
+			sum += total
+		}
+	}
+	r.sum, r.n = sum, r.n+max(n, 0)
 }
 
 // Steps returns the number of recorded steps.
-func (r *Recorder) Steps() int {
-	if r.win != nil {
-		return r.win.n
-	}
-	return len(r.total)
-}
-
-// Totals returns the raw per-step power series. The slice is the
-// recorder's own backing store — callers must treat it as read-only. It
-// exists for exact-series work: bit-identical determinism checks and
-// the fault-sweep recovery-time scan.
-func (r *Recorder) Totals() []float64 { return r.total }
+func (r *Recorder) Steps() int { return r.n }
 
 // Duration returns the recorded span.
-func (r *Recorder) Duration() sim.Time { return sim.Time(r.Steps()) * r.dt }
+func (r *Recorder) Duration() sim.Time { return sim.Time(r.n) * r.dt }
 
 // DT returns the recorder's timestep.
 func (r *Recorder) DT() sim.Time { return r.dt }
 
-// ensurePrefix (re)builds prefix sums to cover all samples.
-func (r *Recorder) ensurePrefix() {
-	if r.prefixN == len(r.total) && len(r.prefix) == len(r.total)+1 {
-		return
-	}
-	if len(r.prefix) == 0 {
-		r.prefix = append(slices.Grow(r.prefix, len(r.total)+1), 0)
-	}
-	for i := r.prefixN; i < len(r.total); i++ {
-		r.prefix = append(r.prefix, r.prefix[i]+r.total[i])
-	}
-	r.prefixN = len(r.total)
-}
-
 // AvgPower returns the run's average package power.
 func (r *Recorder) AvgPower() float64 {
-	if r.win != nil {
-		if r.win.n == 0 {
-			return 0
-		}
-		return r.win.sum / float64(r.win.n)
-	}
-	if len(r.total) == 0 {
+	if r.n == 0 {
 		return 0
 	}
-	r.ensurePrefix()
-	return r.prefix[len(r.total)] / float64(len(r.total))
+	return r.sum / float64(r.n)
 }
 
 // PPE returns the Provisioned Power Efficiency (Eq. 4): average power
@@ -199,43 +194,39 @@ func (r *Recorder) PPE(provisionedWatts float64) float64 {
 // over a sliding window. Runs shorter than the window are averaged whole.
 // This is the quantity a power limit constrains: "power limits dictate a
 // maximum power and a time window over which that maximum power is
-// evaluated".
+// evaluated". The window must be one the recorder was made for.
 func (r *Recorder) MaxWindowAvg(window sim.Time) float64 {
 	k := windowSteps(window, r.dt)
-	if w := r.win; w != nil {
-		if k != w.k {
-			panic(fmt.Sprintf("trace: MaxWindowAvg over %d ns from a recorder kept for %d ns", window, w.window))
+	w := r.find(k)
+	if w == nil {
+		spans := make([]sim.Time, len(r.wins))
+		for i := range r.wins {
+			spans[i] = r.wins[i].span
 		}
-		switch {
-		case w.n == 0:
-			return 0
-		case k >= w.n:
-			return w.sum / float64(w.n)
-		}
-		return w.max
+		panic(fmt.Sprintf("trace: MaxWindowAvg over %d ns from a recorder kept for %v ns", window, spans))
 	}
-	n := len(r.total)
-	if n == 0 {
+	switch {
+	case r.n == 0:
 		return 0
+	case k >= r.n:
+		return r.sum / float64(r.n)
 	}
-	r.ensurePrefix()
-	if k >= n {
-		return r.prefix[n] / float64(n)
-	}
-	maxAvg := math.Inf(-1)
-	kf := float64(k)
-	for i := k; i <= n; i++ {
-		avg := (r.prefix[i] - r.prefix[i-k]) / kf
-		if avg > maxAvg {
-			maxAvg = avg
-		}
-	}
-	return maxAvg
+	return w.max / float64(k)
 }
 
 // Violates reports whether the run exceeded limitWatts over the window.
 func (r *Recorder) Violates(limitWatts float64, window sim.Time) bool {
 	return r.MaxWindowAvg(window) > limitWatts
+}
+
+// Reset clears all samples for reuse. The rings' capacity is kept, so a
+// warmed-up recorder records the next run without allocating.
+func (r *Recorder) Reset() {
+	r.n, r.sum = 0, 0
+	for i := range r.wins {
+		w := &r.wins[i]
+		w.ring, w.next, w.lag, w.max = w.ring[:0], 0, 0, math.Inf(-1)
+	}
 }
 
 // Point is one sample of a down-sampled series.
@@ -244,21 +235,43 @@ type Point struct {
 	P float64
 }
 
-// Series returns the total-power trace averaged into buckets of
-// sampleEvery — the raw data behind Fig. 1.
-func (r *Recorder) Series(sampleEvery sim.Time) []Point {
-	k := int(sampleEvery / r.dt)
-	if k < 1 {
-		k = 1
-	}
-	r.ensurePrefix()
-	var out []Point
-	for i := k; i <= len(r.total); i += k {
-		avg := (r.prefix[i] - r.prefix[i-k]) / float64(k)
-		out = append(out, Point{T: sim.Time(i) * r.dt, P: avg})
-	}
-	return out
+// Series is the trailing average of a power trace over a window,
+// sampled every few steps and computed online — the Fig. 1 view when
+// the window equals the spacing, the Fig. 2 view ("the power draw over
+// different time windows") otherwise. The i-th step closes a point,
+// stamped i·dt, at i = k, k+s, k+2s, … for a window of k steps and a
+// spacing of s.
+type Series struct {
+	dt     sim.Time
+	every  int // spacing in steps
+	n      int // samples taken
+	due    int // the sample count that closes the next point
+	sum    float64
+	w      window
+	points []Point
 }
+
+// NewSeries returns an empty series for steps of dt averaging over
+// span and sampled every sampleEvery (each at least one step).
+func NewSeries(dt, span, sampleEvery sim.Time) *Series {
+	k := windowSteps(span, dt)
+	return &Series{dt: dt, every: windowSteps(sampleEvery, dt), due: k, w: window{k: k}}
+}
+
+// RecordN takes n identical samples, one by one.
+func (s *Series) RecordN(total float64, n int) {
+	for range n {
+		s.sum += total
+		s.n++
+		if d, full := s.w.add(total, s.sum); full && s.n == s.due {
+			s.points = append(s.points, Point{T: sim.Time(s.n) * s.dt, P: d / float64(s.w.k)})
+			s.due += s.every
+		}
+	}
+}
+
+// Points returns the closed points in time order.
+func (s *Series) Points() []Point { return s.points }
 
 // Normalize divides every sample of pts by ref in place and returns
 // pts — the "normalized to average power" view of Figs. 1 and 2.
@@ -267,38 +280,4 @@ func Normalize(pts []Point, ref float64) []Point {
 		pts[i].P /= ref
 	}
 	return pts
-}
-
-// WindowSeries returns the trailing moving average over window, sampled
-// every sampleEvery — the Fig. 2 view ("the power draw over different
-// time windows").
-func (r *Recorder) WindowSeries(window, sampleEvery sim.Time) []Point {
-	k := int(window / r.dt)
-	if k < 1 {
-		k = 1
-	}
-	s := int(sampleEvery / r.dt)
-	if s < 1 {
-		s = 1
-	}
-	r.ensurePrefix()
-	var out []Point
-	for i := k; i <= len(r.total); i += s {
-		avg := (r.prefix[i] - r.prefix[i-k]) / float64(k)
-		out = append(out, Point{T: sim.Time(i) * r.dt, P: avg})
-	}
-	return out
-}
-
-// Reset clears all samples for reuse. The backing arrays' capacity is
-// kept, so a warmed-up recorder records the next run without
-// allocating.
-func (r *Recorder) Reset() {
-	if w := r.win; w != nil {
-		clear(w.ring)
-		w.next, w.n, w.sum, w.lag, w.max = 0, 0, 0, 0, math.Inf(-1)
-	}
-	r.total = r.total[:0]
-	r.prefix = r.prefix[:0]
-	r.prefixN = 0
 }

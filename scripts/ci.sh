@@ -114,6 +114,19 @@ for args in "trace -fig 1 -dur 1" "trace -fig 2 -dur 12" "trace -fig 3 -scheme h
 done
 echo "strided output identical to the fixed-step build across every experiment id and the trace/tune subcommands"
 
+# Pinned bytes: the fixed-versus-strided diffs above cannot see a change
+# both builds share, so the drivers that reduce power traces outside the
+# evaluator's run path are held to committed digests of their output.
+echo "== output digests (scripts/output-digests.txt) =="
+grep -v '^#' scripts/output-digests.txt | while read -r want args; do
+	got="$("$tmp/hcappsim" $args | sha256sum | cut -d' ' -f1)"
+	if [ "$got" != "$want" ]; then
+		echo "hcappsim $args: output digest $got, want $want"
+		exit 1
+	fi
+done
+echo "every pinned output matches its digest"
+
 # Examples: every examples/* program, built both ways, must print the
 # same bytes. Custom topologies stride like the paper package, so this
 # is their fixed-versus-strided diff, and it keeps the facade examples
@@ -485,6 +498,9 @@ go test -run NoSuchTest -fuzz FuzzRunResponseCodec -fuzztime 5s ./internal/clust
 # Trace streams draw from a lazily seeded copy of math/rand's source; it
 # must match math/rand draw for draw across seeds, reseeds and wraps.
 go test -run NoSuchTest -fuzz FuzzLagSource -fuzztime 5s ./internal/workload
+# The power recorder and the figure series reduce online; both must
+# match the prefix-sum formulation bit for bit, Record and RecordN mixed.
+go test -run NoSuchTest -fuzz FuzzMaxWindowAvg -fuzztime 5s ./internal/trace
 
 # The chiplet's per-voltage table and its units' operating points must
 # be exact: fuzzed rails that revisit their voltages, per-unit ratios,
